@@ -67,6 +67,7 @@ from .scattering import (
     closed_form_terms,
     cross_section,
     event_density,
+    event_densities,
     event_density_cat_closed,
     event_density_cat_quadrature,
     event_density_gaussian,

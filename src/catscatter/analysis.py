@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateDenominator, FlatDistribution, TooFewPoints
-from .scattering import ScatteringConfig, event_density
+from .scattering import ScatteringConfig, event_densities
 from .targets import Kinematics
 
 __all__ = [
@@ -72,17 +72,18 @@ class AsymmetryResult:
     params_echo: dict = field(default_factory=dict)
 
 
-def _dnu(spec: AsymmetrySpec, phi: float) -> float:
-    kin = spec.kin_base.with_phi(phi)
-    return event_density(spec.cfg, kin, method=spec.method,
-                         amplitude=spec.amplitude, a=spec.a).value
-
-
 def _phi_grid(spec: AsymmetrySpec) -> np.ndarray:
-    # Multiple of 4 so phi_r0 and phi_r0 + pi/2 sit exactly on the grid.
-    n = 4 * ((spec.phi_grid_n + 3) // 4)
-    phi0 = spec.cfg.state.phi_r0
-    return phi0 + 2.0 * math.pi * np.arange(n) / n
+    # Whole quarter turns, so phi_r0 and phi_r0 + pi/2 sit exactly on the
+    # grid (samples 0 and n/4): 2 pi k/n would round off the quarter turn.
+    quarter = (spec.phi_grid_n + 3) // 4
+    return spec.cfg.state.phi_r0 + 0.5 * math.pi * (np.arange(4 * quarter) / quarter)
+
+
+def _para_perp(d_par: float, d_perp: float) -> float:
+    denom = d_perp + d_par
+    if abs(denom) < 1e-300:
+        raise DegenerateDenominator("event density vanished at both reference azimuths")
+    return (d_perp - d_par) / denom
 
 
 def _echo(spec: AsymmetrySpec) -> dict:
@@ -112,16 +113,12 @@ def azimuthal_asymmetry(spec: AsymmetrySpec) -> AsymmetryResult:
     (below 1e-300), which can only happen for unphysical inputs.
     """
     phis = _phi_grid(spec)
-    scan = tuple((float(p), _dnu(spec, float(p))) for p in phis)
-    phi0 = spec.cfg.state.phi_r0
+    kins = [spec.kin_base.with_phi(float(p)) for p in phis]
+    eds = event_densities(spec.cfg, kins, method=spec.method,
+                          amplitude=spec.amplitude, a=spec.a)
+    scan = tuple((float(p), ed.value) for p, ed in zip(phis, eds))
     if spec.metric == "para_perp":
-        d_par = _dnu(spec, phi0)
-        d_perp = _dnu(spec, phi0 + 0.5 * math.pi)
-        denom = d_perp + d_par
-        if abs(denom) < 1e-300:
-            raise DegenerateDenominator(
-                "event density vanished at both reference azimuths")
-        a_val = (d_perp - d_par) / denom
+        a_val = _para_perp(scan[0][1], scan[len(scan) // 4][1])
     else:
         vals = np.array([v for _, v in scan])
         hi, lo = float(vals.max()), float(vals.min())
@@ -291,15 +288,11 @@ def peak_theta(
         raise ValueError(f"unknown profile {profile!r}")
 
     phi0 = cfg.state.phi_r0
+    phis = (phi0,) if profile == "rate" else (phi0, phi0 + 0.5 * math.pi)
     vals = np.empty_like(th)
     for k, theta in enumerate(th):
-        kin = Kinematics(p_i, p_i, float(theta), phi0)
-        if profile == "rate":
-            vals[k] = math.sin(theta) * event_density(cfg, kin, method=method, a=a).value
-        else:
-            spec = AsymmetrySpec(cfg=cfg, kin_base=kin, phi_grid_n=8,
-                                 metric="para_perp", method=method, a=a)
-            d_par = _dnu(spec, phi0)
-            d_perp = _dnu(spec, phi0 + 0.5 * math.pi)
-            vals[k] = abs(d_perp - d_par) / (d_perp + d_par)
+        eds = event_densities(cfg, [Kinematics(p_i, p_i, float(theta), phi) for phi in phis],
+                              method=method, a=a)
+        vals[k] = (math.sin(theta) * eds[0].value if profile == "rate"
+                   else abs(_para_perp(eds[0].value, eds[1].value)))
     return find_peak(th, vals)

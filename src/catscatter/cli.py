@@ -31,6 +31,7 @@ from .quadrature import Interval, QuadratureSpec, integrate_1d, integrate_nd
 from .scattering import (
     ScatteringConfig,
     cross_section,
+    event_densities,
     event_density,
     event_density_cat_quadrature,
     event_density_general,
@@ -308,16 +309,16 @@ def _run_scatter(cfg: RunConfig):
     state, target = build_state(cfg), build_target(cfg)
     sc = ScatteringConfig(state=state, target=target, n_e=cfg.ne, quad=_quad_spec(cfg))
     method = _METHOD_BY_FLAG[cfg.method]
+    grid = [(th, ph) for th in cfg.theta_deg for ph in _phis(cfg)]
+    eds = event_densities(sc, [_kin(cfg, th, ph) for th, ph in grid], method=method)
     rows = []
-    for th in cfg.theta_deg:
-        for ph in _phis(cfg):
-            ed = event_density(sc, _kin(cfg, th, ph), method=method)
-            if ed.wide_limit:
-                dnu, dsig = math.nan, ed.value
-            else:
-                dnu = ed.value
-                dsig = cross_section(ed, cfg.ne) if ed.sigma_sq is not None else math.nan
-            rows.append((th, ph, dnu, dsig, ed.err_est, ed.method))
+    for (th, ph), ed in zip(grid, eds):
+        if ed.wide_limit:
+            dnu, dsig = math.nan, ed.value
+        else:
+            dnu = ed.value
+            dsig = cross_section(ed, cfg.ne) if ed.sigma_sq is not None else math.nan
+        rows.append((th, ph, dnu, dsig, ed.err_est, ed.method))
     return ["theta_deg", "phi_deg", "dnu", "dsigma", "err_est", "method"], rows, None
 
 

@@ -10,14 +10,21 @@ The engine subdivides panels carrying an embedded (nested) rule pair:
 
 Refinement is global: on every round the boxes holding the dominant error
 are bisected along the axis with the largest fourth-difference indicator.
+A vector-valued integrand (one row per integrand of a batch) shares one
+panel set across its rows; each row must meet its own tolerance, and a
+round splits the boxes holding the largest error-to-tolerance ratio among
+the rows that have not converged yet.  A scalar integrand is the one-row
+case of the same driver.
 All reductions use ``math.fsum``, the panel bookkeeping is ordered, and no
 randomness enters anywhere, so two calls with identical inputs return
 bit-identical results.  Everything is pure and reentrant; callers may
 integrate from many threads concurrently.
 
 Integrands must be vectorized: ``f`` receives one ``numpy`` array per
-coordinate and returns an array of the same shape.  Plain scalar callables
-are detected on the first evaluation and wrapped in a loop fallback.
+coordinate and returns an array of the same shape, or of shape
+``(B, *shape)`` for a batch of ``B`` integrands.  Callables that reject
+arrays (``math.exp``) are detected on the first evaluation and wrapped in
+a scalar loop fallback; any other output shape is an error.
 
 Semi-infinite upper limits are handled by adaptive extension in doubling
 windows, which requires the integrand to decay at least exponentially
@@ -102,8 +109,14 @@ DEFAULT_SPEC_4D = QuadratureSpec(rel_tol=1e-4, max_subdivisions=200_000)
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: float
-    err_est: float
+    """Value and error bound; arrays of one entry per row for a batch.
+
+    ``neval`` counts abscissae (each evaluates every row of a batch) and
+    ``subdivisions`` counts panel bisections.
+    """
+
+    value: float | np.ndarray
+    err_est: float | np.ndarray
     neval: int = 0
     subdivisions: int = 0
 
@@ -206,7 +219,7 @@ class _TensorGaussKronrod:
         value = high * scale
         err = np.abs(high - low) * scale
         scores = np.stack(
-            [np.abs(high - vals @ w) for w in self.w_axis], axis=1
+            [np.abs(high - vals @ w) for w in self.w_axis], axis=-1
         )
         return value, err, scores
 
@@ -281,9 +294,9 @@ class _GenzMalik:
         value = high * scale
         err = np.abs(high - low) * scale
         # Fourth-difference indicator per axis (Genz-Malik split heuristic).
-        f0 = vals[:, 0][:, None]
-        s2 = vals[:, self.idx2[:, 0]] + vals[:, self.idx2[:, 1]] - 2.0 * f0
-        s3 = vals[:, self.idx3[:, 0]] + vals[:, self.idx3[:, 1]] - 2.0 * f0
+        f0 = vals[..., 0][..., None]
+        s2 = vals[..., self.idx2[:, 0]] + vals[..., self.idx2[:, 1]] - 2.0 * f0
+        s3 = vals[..., self.idx3[:, 0]] + vals[..., self.idx3[:, 1]] - 2.0 * f0
         scores = np.abs(s2 - self.ratio * s3)
         return value, err, scores
 
@@ -305,31 +318,49 @@ def _rule_for(ndim: int):
 
 
 class _VectorizedF:
-    """Call wrapper that falls back to a scalar loop if ``f`` is not
-    vectorized over numpy arrays."""
+    """Call wrapper returning values of ``shape`` for coordinate arrays of
+    ``shape`` (scalar integrand), or ``(B, *shape)`` for a batch of ``B``.
 
-    def __init__(self, f: Callable):
+    The first call fixes the kind.  A callable that rejects arrays falls
+    back to a scalar loop; an output that is neither ``shape`` nor
+    ``(B, *shape)`` raises ``ValueError``, as does a batch when
+    ``allow_rows`` is false.
+    """
+
+    def __init__(self, f: Callable, allow_rows: bool = True):
         self.f = f
+        self.allow_rows = allow_rows
         self.scalar = False
+        self.rows: int | None = None  # None: row-free (scalar) integrand
         self.neval = 0
 
     def __call__(self, axes: list[np.ndarray]) -> np.ndarray:
+        first = self.neval == 0
         self.neval += axes[0].size
+        shape = axes[0].shape
         if not self.scalar:
             try:
                 out = np.asarray(self.f(*axes), dtype=float)
-                if out.shape == axes[0].shape:
-                    return out
             except (TypeError, ValueError):
-                pass
-            self.scalar = True
+                self.scalar = True
+            else:
+                if first and self.allow_rows and out.ndim == len(shape) + 1:
+                    self.rows = out.shape[0]
+                want = shape if self.rows is None else (self.rows,) + shape
+                if out.shape != want:
+                    raise ValueError(
+                        f"integrand returned shape {out.shape} for abscissae of "
+                        f"shape {shape}; expected {want}"
+                        + ("" if self.allow_rows else " (no batches on this domain)")
+                    )
+                return out
         flat = [np.ravel(ax) for ax in axes]
         out = np.fromiter(
             (float(self.f(*pt)) for pt in zip(*flat)),
             dtype=float,
             count=flat[0].size,
         )
-        return out.reshape(axes[0].shape)
+        return out.reshape(shape)
 
 
 def _initial_boxes(box: Sequence[Interval], splits: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -344,6 +375,8 @@ def _initial_boxes(box: Sequence[Interval], splits: Sequence[int]) -> tuple[np.n
 
 
 def _evaluate(fv: _VectorizedF, rule, lo: np.ndarray, hi: np.ndarray):
+    """Per-row panel values and errors, shape (rows, nbox), and the split
+    indicators, shape (nbox, d), taken as the largest over the rows."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     # points: (nbox, npts) per axis
@@ -354,7 +387,25 @@ def _evaluate(fv: _VectorizedF, rule, lo: np.ndarray, hi: np.ndarray):
     vals = fv(coords)
     if not np.isfinite(vals).all():
         raise NonFiniteIntegrand("integrand returned a non-finite value")
-    return rule.apply(vals, half)
+    value, err, scores = rule.apply(vals, half)
+    if fv.rows is None:  # the one-row case of a batch
+        return value[None], err[None], scores
+    return value, err, scores.max(axis=0)
+
+
+_ROUNDOFF = 50.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _fsums(a: np.ndarray) -> list[float]:
+    return [math.fsum(row) for row in a.tolist()]
+
+
+def _stalled(why: str, err_totals: list[float], tols: list[float], batch: bool) -> NonConvergence:
+    """NonConvergence naming the row furthest above its tolerance."""
+    i = max(range(len(tols)), key=lambda k: err_totals[k] / max(tols[k], _TINY))
+    row = f", row {i}" if batch else ""
+    return NonConvergence(f"{why} (err={err_totals[i]:.3e}, tol={tols[i]:.3e}{row})")
 
 
 def _adapt(
@@ -366,43 +417,52 @@ def _adapt(
     rule = _rule_for(len(box))
     fv = f if isinstance(f, _VectorizedF) else _VectorizedF(f)
     lo, hi = _initial_boxes(box, initial_splits)
-    values, errs, scores = _evaluate(fv, rule, lo, hi)
+    values, errs, scores = _evaluate(fv, rule, lo, hi)  # (rows, nbox) x2, (nbox, d)
     subdivisions = 0
 
     while True:
-        total = math.fsum(values)
-        err_total = math.fsum(errs)
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if err_total <= tol:
+        totals = _fsums(values)
+        err_totals = _fsums(errs)
+        tols = [max(spec.abs_tol, spec.rel_tol * abs(t)) for t in totals]
+        act = [i for i, (e, t) in enumerate(zip(err_totals, tols)) if e > t]
+        if not act:
             break
+        err_a = errs[act]
+        tol_a = np.array([tols[i] for i in act])
 
+        # Panel priority: the largest err/tol over the unconverged rows, in
+        # units of the largest of their tolerances (plain errors when one
+        # row is left, as for a scalar integrand).
+        if len(act) > 1:
+            scale = tol_a.max() / np.maximum(tol_a, _TINY)
+            priority = (err_a * scale[:, None]).max(axis=0)
+        else:
+            priority = err_a[0]
         widths = hi - lo
         split_axis = np.argmax(scores, axis=1)
         splittable = (
             np.take_along_axis(widths, split_axis[:, None], axis=1).ravel()
             > 2.0 * spec.min_panel_width
         )
-        order = np.lexsort((np.arange(len(errs)), -errs))
+        order = np.lexsort((np.arange(len(priority)), -priority))
         order = order[splittable[order]]
         # Split the smallest prefix of worst boxes whose removal would pull
-        # the remaining error comfortably under tolerance.
+        # every unconverged row's remaining error comfortably under its
+        # tolerance.
         if len(order):
-            remaining = err_total - np.cumsum(errs[order])
-            count = int(np.searchsorted(-remaining, -0.45 * tol)) + 1
-            count = max(1, min(count, len(order)))
+            err_tot_a = np.array([err_totals[i] for i in act])
+            remaining = err_tot_a[:, None] - np.cumsum(err_a[:, order], axis=1)
+            need = (remaining > 0.45 * tol_a[:, None]).sum(axis=1) + 1
+            count = max(1, min(int(need.max()), len(order)))
         else:
             count = 0
         if count == 0:
-            raise NonConvergence(
-                "tolerance not met and no panel is splittable "
-                f"(err={err_total:.3e}, tol={tol:.3e})"
-            )
+            raise _stalled("tolerance not met and no panel is splittable",
+                           err_totals, tols, fv.rows is not None)
         budget = spec.max_subdivisions - subdivisions
         if budget <= 0:
-            raise NonConvergence(
-                f"max_subdivisions={spec.max_subdivisions} exhausted "
-                f"(err={err_total:.3e}, tol={tol:.3e})"
-            )
+            raise _stalled(f"max_subdivisions={spec.max_subdivisions} exhausted",
+                           err_totals, tols, fv.rows is not None)
         picked = order[: min(count, budget)]
         subdivisions += len(picked)
 
@@ -416,24 +476,26 @@ def _adapt(
         np.put_along_axis(hi_l, ax[:, None], mid, axis=1)
         np.put_along_axis(lo_r, ax[:, None], mid, axis=1)
 
-        keep = np.ones(len(errs), dtype=bool)
+        keep = np.ones(len(priority), dtype=bool)
         keep[picked] = False
         new_lo = np.concatenate([lo[keep], lo_l, lo_r])
         new_hi = np.concatenate([hi[keep], hi_l, hi_r])
         v_new, e_new, s_new = _evaluate(
             fv, rule, np.concatenate([lo_l, lo_r]), np.concatenate([hi_l, hi_r])
         )
-        values = np.concatenate([values[keep], v_new])
-        errs = np.concatenate([errs[keep], e_new])
+        values = np.concatenate([values[:, keep], v_new], axis=1)
+        errs = np.concatenate([errs[:, keep], e_new], axis=1)
         scores = np.concatenate([scores[keep], s_new])
         lo, hi = new_lo, new_hi
 
-    return QuadratureResult(
-        value=math.fsum(values),
-        err_est=math.fsum(errs),
-        neval=fv.neval,
-        subdivisions=subdivisions,
-    )
+    # Rounding floor of the reported bound (QUADPACK's 50 eps per unit of
+    # integrated magnitude): on panels fine enough for a batch's fastest
+    # row, the K15-G7 differences of its smooth rows fall below the
+    # floating-point resolution of their sums.
+    err_est = np.array(err_totals) + _ROUNDOFF * np.abs(values).sum(axis=1)
+    if fv.rows is None:
+        return QuadratureResult(totals[0], float(err_est[0]), fv.neval, subdivisions)
+    return QuadratureResult(np.array(totals), err_est, fv.neval, subdivisions)
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +515,19 @@ def integrate_1d(
     Parameters
     ----------
     f : callable
-        Integrand, finite on the domain interior.  Preferably vectorized
-        (accepts and returns ndarrays); scalar callables are wrapped.
-        For an infinite upper bound ``f`` must decay at least
-        exponentially; the engine extends the domain in doubling windows
-        until the running tail contribution is negligible.
+        Integrand, finite on the domain interior.  Preferably vectorized:
+        called with an ndarray ``x`` it returns an array of ``x.shape``, or,
+        on a finite domain, a batch of shape ``(B, *x.shape)`` holding B
+        integrands that share one panel set.  Scalar callables that reject
+        arrays are wrapped in a loop; any other output shape raises
+        ``ValueError``.  For an infinite upper bound ``f`` must be scalar
+        and decay at least exponentially; the engine extends the domain in
+        doubling windows until the running tail contribution is negligible.
     domain : Interval
         Integration interval; ``hi`` may be ``math.inf``.
     spec : QuadratureSpec, optional
-        Tolerances; defaults to ``DEFAULT_SPEC_1D``.
+        Tolerances; defaults to ``DEFAULT_SPEC_1D``.  Each row of a batch
+        must meet ``err_i <= max(abs_tol, rel_tol * |value_i|)`` on its own.
     initial_panels : int
         Uniform panelization before refinement starts.  Use
         :func:`oscillation_panels` for integrands carrying a fast cosine.
@@ -469,7 +535,9 @@ def integrate_1d(
     Returns
     -------
     QuadratureResult
-        ``value`` with the engine's own error bound ``err_est``.
+        ``value`` with the engine's own error bound ``err_est``: floats for
+        a scalar integrand, arrays of length B for a batch.  ``neval``
+        counts abscissae, not abscissae times rows.
 
     Raises
     ------
@@ -477,12 +545,15 @@ def integrate_1d(
         Subdivision budget exhausted before tolerance was met.
     NonFiniteIntegrand
         ``f`` produced NaN or infinity.
+    ValueError
+        ``f`` returned an array of the wrong shape, or a batch on a
+        semi-infinite domain.
     """
     spec = spec or DEFAULT_SPEC_1D
     if not domain.infinite:
         return _adapt(f, [domain], spec, [max(1, initial_panels)])
 
-    fv = _VectorizedF(f)
+    fv = _VectorizedF(f, allow_rows=False)
     acc: list[QuadratureResult] = []
     lo = domain.lo
     width = 16.0
@@ -520,7 +591,9 @@ def integrate_nd(
 ) -> QuadratureResult:
     """Adaptively integrate ``f`` over a finite 2-D or 4-D box.
 
-    ``f`` receives one coordinate array per axis.  ``initial_splits``
+    ``f`` receives one coordinate array per axis and returns an array of
+    their shape, or a batch of shape ``(B, *shape)`` as in
+    :func:`integrate_1d`.  ``initial_splits``
     pre-panelizes each axis (oscillation safeguard); refinement then
     proceeds adaptively.  The result is deterministic and independent of
     evaluation order.

@@ -105,6 +105,10 @@ class BeamState:
     p_i: float = 10.0
 
     def __post_init__(self) -> None:
+        for name in ("sigma_perp", "sigma_x", "sigma_y", "r0", "phi_r0", "sigma_z", "p_i"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.variant not in _ALL_VARIANTS:
             raise ValueError(f"unknown beam variant {self.variant!r}")
         if self.p_i <= 0:

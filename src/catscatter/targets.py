@@ -53,6 +53,10 @@ class TargetProfile:
     wide_limit: bool = False
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in self.b0):
+            raise ValueError(f"target offset b0 must be finite, got {self.b0}")
+        if self.sigma_t is not None and not math.isfinite(self.sigma_t):
+            raise ValueError(f"sigma_t must be finite, got {self.sigma_t}")
         if self.wide_limit:
             return
         if self.sigma_t is None or self.sigma_t <= 0:
@@ -81,6 +85,8 @@ class Kinematics:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.p_i, self.p_f, self.theta, self.phi)):
+            raise ValueError(f"kinematics must be finite, got {self}")
         if self.p_i <= 0 or self.p_f <= 0:
             raise ValueError("momenta must be > 0")
         if not 0.0 <= self.theta <= math.pi:

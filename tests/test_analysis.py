@@ -5,6 +5,7 @@ import pytest
 
 from catscatter.analysis import (
     AsymmetrySpec,
+    _phi_grid,
     azimuthal_asymmetry,
     detect_oscillation,
     find_peak,
@@ -85,6 +86,25 @@ def test_phi_scan_contains_reference_azimuths():
     phis = [p for p, _ in res.phi_scan]
     assert any(abs(p - 0.3) < 1e-12 for p in phis)
     assert any(abs(p - (0.3 + math.pi / 2)) < 1e-12 for p in phis)
+
+
+@pytest.mark.parametrize("phi_r0", [0.0, 0.3, 2.0, 5.9])
+def test_phi_grid_holds_both_reference_azimuths_exactly(phi_r0):
+    cfg = ScatteringConfig(state=BeamState.even_cat(2.0, 4.0, phi_r0=phi_r0), target=WIDE)
+    for n in range(8, 129):
+        grid = _phi_grid(AsymmetrySpec(cfg=cfg, kin_base=Kinematics.elastic(10.0, 0.1),
+                                       phi_grid_n=n))
+        assert len(grid) == 4 * math.ceil(n / 4)
+        assert grid[0] == phi_r0
+        assert grid[len(grid) // 4] == phi_r0 + 0.5 * math.pi
+
+
+@pytest.mark.parametrize("method", ["closed_form", "quadrature2d"])
+def test_para_perp_reads_the_scan_samples(method):
+    res = azimuthal_asymmetry(spec_for(BeamState.odd_cat(2.0, 3.0, phi_r0=0.3),
+                                       phi_grid_n=8, method=method))
+    d_par, d_perp = res.phi_scan[0][1], res.phi_scan[2][1]
+    assert res.A == (d_perp - d_par) / (d_perp + d_par)
 
 
 # -- sweeps ---------------------------------------------------------------------

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
-from catscatter.cli import RunConfig, fmt, parse_grid, run
+from catscatter.cli import DEG, RunConfig, fmt, parse_grid, run
+from catscatter.scattering import ScatteringConfig, event_density_cat_closed
+from catscatter.states import BeamState
+from catscatter.targets import Kinematics, TargetProfile
 
 PI2 = 1.0 / math.pi ** 2
 
@@ -83,6 +86,12 @@ def test_scatter_theta_phi_range_grid(tmp_path):
     assert len(rows) == 6  # 3 thetas x 2 phis
     assert sorted({r["theta_deg"] for r in rows}) == ["10", "15", "5"]
     assert all(r["method"] == "closed_form" for r in rows)
+    # the grid is one batch; each row agrees with its one-at-a-time value
+    cfg = ScatteringConfig(BeamState.even_cat(2.0, 4.0), TargetProfile.wide())
+    for r in rows:
+        one = event_density_cat_closed(cfg, Kinematics.elastic(
+            10.0, float(r["theta_deg"]) * DEG, float(r["phi_deg"]) * DEG))
+        assert abs(float(r["dsigma"]) - one.value) <= float(r["err_est"]) + one.err_est
     # re-run from the sidecar reproduces the grid byte-for-byte
     first = out.read_bytes()
     out.unlink()

@@ -174,3 +174,59 @@ def test_semi_infinite_rejects_nondecaying():
     with pytest.raises(NonConvergence):
         integrate_1d(lambda x: 1.0 / (1.0 + x), Interval(0.0, math.inf),
                      QuadratureSpec(rel_tol=1e-6))
+
+
+# -- batched (vector-valued) integrands ----------------------------------------
+
+OMEGAS = np.array([0.0, 1.0, 2.0, 3.0, 5.0])
+
+
+def test_batch_rows_meet_their_own_tolerance():
+    # int_{-8}^{8} cos(w x) e^{-x^2} dx = sqrt(pi) e^{-w^2/4}, one row per w.
+    spec = QuadratureSpec(rel_tol=1e-10)
+    r = integrate_1d(lambda x: np.cos(OMEGAS[:, None, None] * x) * np.exp(-x * x),
+                     Interval(-8.0, 8.0), spec, initial_panels=4)
+    exact = math.sqrt(math.pi) * np.exp(-OMEGAS ** 2 / 4.0)
+    assert r.value.shape == r.err_est.shape == OMEGAS.shape
+    assert isinstance(r.neval, int) and isinstance(r.subdivisions, int)
+    assert r.neval == 15 * (4 + 2 * r.subdivisions)  # abscissae, not rows
+    for value, err, ref in zip(r.value, r.err_est, exact):
+        assert abs(value - ref) <= err <= spec.rel_tol * abs(value)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_identical_rows_are_bit_identical_to_the_scalar_call(ndim):
+    spec = QuadratureSpec(rel_tol=1e-11)
+    if ndim == 1:
+        f = lambda x: np.exp(-x * x) * np.cos(5 * x)
+        one = integrate_1d(f, Interval(-6, 6), spec, initial_panels=3)
+        batch = integrate_1d(lambda x: np.stack([f(x)] * 4), Interval(-6, 6), spec,
+                             initial_panels=3)
+    else:
+        f = lambda x, y: np.exp(-x * x - 2 * y * y) * np.cos(3 * x * y)
+        box = [Interval(-5, 5), Interval(-4, 4)]
+        one = integrate_nd(f, box, spec, initial_splits=[2, 3])
+        batch = integrate_nd(lambda x, y: np.stack([f(x, y)] * 4), box, spec,
+                             initial_splits=[2, 3])
+    assert one.subdivisions > 0
+    assert (batch.neval, batch.subdivisions) == (one.neval, one.subdivisions)
+    assert all(v == one.value for v in batch.value)
+    assert all(e == one.err_est for e in batch.err_est)
+
+
+def test_batch_rejected_on_semi_infinite_domain():
+    with pytest.raises(ValueError, match="shape"):
+        integrate_1d(lambda x: np.stack([np.exp(-x), np.exp(-2 * x)]),
+                     Interval(0.0, math.inf))
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: np.ones(3),
+    lambda x: np.ones((2,) + x.shape[:1]),
+    lambda x: 1.0,
+])
+def test_wrong_output_shape_names_both_shapes(f):
+    with pytest.raises(ValueError) as info:
+        integrate_1d(f, Interval(0.0, 1.0), initial_panels=2)
+    msg = str(info.value)
+    assert str(np.shape(f(np.zeros((2, 15))))) in msg and "(2, 15)" in msg

@@ -12,6 +12,7 @@ from catscatter.scattering import (
     ScatteringConfig,
     closed_form_terms,
     cross_section,
+    event_densities,
     event_density,
     event_density_cat_closed,
     event_density_cat_quadrature,
@@ -274,6 +275,33 @@ def test_event_density_nonnegative_batch():
         ed = event_density_cat_closed(wide_cfg(maker(sp, r0), TIGHT1),
                                       Kinematics.elastic(10.0, th, rng.uniform(0, 7)))
         assert ed.value >= -ed.err_est
+
+
+@pytest.mark.parametrize("maker,target", [
+    (BeamState.even_cat, WIDE),
+    (BeamState.odd_cat, WIDE),
+    (BeamState.odd_cat, TargetProfile.gaussian(20.0, (1.0, -2.0))),
+])
+def test_batched_closed_form_matches_one_at_a_time(maker, target):
+    cfg = ScatteringConfig(maker(2.0, 3.0, phi_r0=0.4), target)
+    kins = [Kinematics(p, p, th, phi) for p in (8.0, 12.0) for th in (0.05, 0.2)
+            for phi in np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False)]
+    batch = event_densities(cfg, kins)
+    assert len(batch) == len(kins)
+    for ed, kin in zip(batch, kins):
+        one = event_density_cat_closed(cfg, kin)
+        assert (ed.method, ed.sigma_sq, ed.wide_limit) == (one.method, one.sigma_sq,
+                                                           one.wide_limit)
+        assert abs(ed.value - one.value) <= ed.err_est + one.err_est
+    assert event_densities(cfg, []) == []
+
+
+def test_batched_route_loops_for_other_methods():
+    cfg = wide_cfg(BeamState.gaussian(2.0))
+    kins = [Kinematics.elastic(10.0, 0.1, phi) for phi in (0.0, 1.0)]
+    assert event_densities(cfg, kins) == [event_density(cfg, k) for k in kins]
+    with pytest.raises(ValueError, match="unknown method"):
+        event_densities(cfg, kins, method="nope")
 
 
 # -- closed-form terms --------------------------------------------------------

@@ -326,3 +326,20 @@ def test_state_field_validation():
         BeamState.anisotropic(1.0, -2.0)
     with pytest.raises(ValueError):
         BeamState.gaussian(1.0, p_i=-3.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BeamState.gaussian(math.nan),
+    lambda: BeamState.gaussian(math.inf),
+    lambda: BeamState.gaussian(2.0, p_i=math.nan),
+    lambda: BeamState.gaussian(2.0, sigma_z=math.inf),
+    lambda: BeamState.odd_cat(2.0, math.nan),
+    lambda: BeamState.even_cat(2.0, math.inf),
+    lambda: BeamState.even_cat(2.0, 3.0, phi_r0=math.nan),
+    lambda: BeamState.incoherent_pair(math.nan, 3.0),
+    lambda: BeamState.anisotropic(2.0, math.inf),
+    lambda: BeamState.even_cat(2.0, 3.0).with_r0(math.nan),
+])
+def test_state_rejects_non_finite_fields(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()

@@ -139,3 +139,19 @@ def test_target_validation():
         Kinematics(10.0, 10.0, -0.1)
     with pytest.raises(ValueError):
         Kinematics(-1.0, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TargetProfile.gaussian(math.inf),
+    lambda: TargetProfile.gaussian(math.nan),
+    lambda: TargetProfile.gaussian(20.0, (math.nan, 0.0)),
+    lambda: Kinematics.elastic(math.nan, 0.1),
+    lambda: Kinematics.elastic(math.inf, 0.1),
+    lambda: Kinematics(10.0, math.nan, 0.1),
+    lambda: Kinematics.elastic(10.0, math.nan),
+    lambda: Kinematics.elastic(10.0, 0.1, math.inf),
+    lambda: Kinematics.elastic(10.0, 0.1).with_phi(math.nan),
+])
+def test_target_and_kinematics_reject_non_finite_fields(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
