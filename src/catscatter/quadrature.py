@@ -14,7 +14,7 @@ A vector-valued integrand (one row per integrand of a batch) shares one
 panel set across its rows; each row must meet its own tolerance, and a
 round splits the boxes holding the largest error-to-tolerance ratio among
 the rows that have not converged yet.  A scalar integrand is the one-row
-case of the same driver.
+case of the same adaptive loop.
 All reductions use ``math.fsum``, the panel bookkeeping is ordered, and no
 randomness enters anywhere, so two calls with identical inputs return
 bit-identical results.  Everything is pure and reentrant; callers may
