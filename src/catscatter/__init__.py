@@ -60,11 +60,9 @@ from .targets import (
     target_density,
 )
 from .scattering import (
-    ClosedFormTerms,
     EventDensity,
     ScatteringConfig,
     ValidityCondition,
-    closed_form_terms,
     cross_section,
     event_density,
     event_densities,

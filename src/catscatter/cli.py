@@ -41,8 +41,10 @@ from .states import (
     BeamState,
     PhasePoint,
     momentum_from_keV,
+    phase_space_box,
     phase_space_grid,
     wigner_normalization,
+    wigner_slice,
     wigner_values,
 )
 from .targets import Kinematics, TargetProfile
@@ -279,30 +281,16 @@ def _phis(cfg: RunConfig) -> list[float]:
 
 def _run_wigner(cfg: RunConfig):
     state = build_state(cfg)
-    sx, sy = state.widths
-    r0x, r0y = (abs(v) for v in state.r0_vec)
-    rows = []
     if cfg.mode == "slice":
-        lim_u = 4.0 * sx + state.r0
-        lim_p = 4.0 / sx
-        u = phase_space_grid(-lim_u, lim_u, cfg.grid)
-        pu = phase_space_grid(-lim_p, lim_p, cfg.grid)
-        ex, ey = math.cos(state.phi_r0), math.sin(state.phi_r0)
-        U, PU = np.meshgrid(u, pu, indexing="ij")
-        W = wigner_values(state, U * ex, U * ey, PU * ex, PU * ey)
-        for (uu, pp, ww) in zip(U.ravel(), PU.ravel(), W.ravel()):
-            rows.append((float(uu), float(pp), float(ww)))
-        return ["x", "px", "w"], rows, None
-    lim_x, lim_y = 4.0 * sx + r0x, 4.0 * sy + r0y
-    gx = phase_space_grid(-lim_x, lim_x, cfg.grid)
-    gy = phase_space_grid(-lim_y, lim_y, cfg.grid)
-    gpx = phase_space_grid(-4.0 / sx, 4.0 / sx, cfg.grid)
-    gpy = phase_space_grid(-4.0 / sy, 4.0 / sy, cfg.grid)
-    X, Y, PX, PY = np.meshgrid(gx, gy, gpx, gpy, indexing="ij")
-    W = wigner_values(state, X, Y, PX, PY)
-    for vals in zip(X.ravel(), Y.ravel(), PX.ravel(), PY.ravel(), W.ravel()):
-        rows.append(tuple(float(v) for v in vals))
-    return ["x", "y", "px", "py", "w"], rows, None
+        header, cols = ["x", "px", "w"], wigner_slice(state, cfg.grid)
+    else:
+        box = phase_space_box(state.widths, state.r0_vec, 4.0, 4.0)
+        grids = (phase_space_grid(iv.lo, iv.hi, cfg.grid) for iv in box)
+        X, Y, PX, PY = np.meshgrid(*grids, indexing="ij")
+        W = wigner_values(state, X, Y, PX, PY)
+        header, cols = ["x", "y", "px", "py", "w"], (X, Y, PX, PY, W)
+    rows = [tuple(float(v) for v in vals) for vals in zip(*(c.ravel() for c in cols))]
+    return header, rows, None
 
 
 def _run_scatter(cfg: RunConfig):

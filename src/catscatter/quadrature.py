@@ -24,7 +24,8 @@ Integrands must be vectorized: ``f`` receives one ``numpy`` array per
 coordinate and returns an array of the same shape, or of shape
 ``(B, *shape)`` for a batch of ``B`` integrands.  Callables that reject
 arrays (``math.exp``) are detected on the first evaluation and wrapped in
-a scalar loop fallback; any other output shape is an error.
+a scalar loop fallback; that choice is final, so an error raised by a
+later evaluation propagates.  Any other output shape is an error.
 
 Semi-infinite upper limits are handled by adaptive extension in doubling
 windows, which requires the integrand to decay at least exponentially
@@ -321,10 +322,11 @@ class _VectorizedF:
     """Call wrapper returning values of ``shape`` for coordinate arrays of
     ``shape`` (scalar integrand), or ``(B, *shape)`` for a batch of ``B``.
 
-    The first call fixes the kind.  A callable that rejects arrays falls
-    back to a scalar loop; an output that is neither ``shape`` nor
-    ``(B, *shape)`` raises ``ValueError``, as does a batch when
-    ``allow_rows`` is false.
+    The first call fixes the kind.  A callable that rejects arrays there
+    (``TypeError`` or ``ValueError``) falls back to a scalar loop for good;
+    an error on any later call propagates.  An output that is neither
+    ``shape`` nor ``(B, *shape)`` raises ``ValueError``, as does a batch
+    when ``allow_rows`` is false.
     """
 
     def __init__(self, f: Callable, allow_rows: bool = True):
@@ -342,6 +344,8 @@ class _VectorizedF:
             try:
                 out = np.asarray(self.f(*axes), dtype=float)
             except (TypeError, ValueError):
+                if not first:
+                    raise
                 self.scalar = True
             else:
                 if first and self.allow_rows and out.ndim == len(shape) + 1:
@@ -519,10 +523,11 @@ def integrate_1d(
         called with an ndarray ``x`` it returns an array of ``x.shape``, or,
         on a finite domain, a batch of shape ``(B, *x.shape)`` holding B
         integrands that share one panel set.  Scalar callables that reject
-        arrays are wrapped in a loop; any other output shape raises
-        ``ValueError``.  For an infinite upper bound ``f`` must be scalar
-        and decay at least exponentially; the engine extends the domain in
-        doubling windows until the running tail contribution is negligible.
+        arrays on the first call are wrapped in a loop; any other output
+        shape raises ``ValueError``.  For an infinite upper bound ``f``
+        must be scalar and decay at least exponentially; the engine extends
+        the domain in doubling windows until the running tail contribution
+        is negligible.
     domain : Interval
         Integration interval; ``hi`` may be ``math.inf``.
     spec : QuadratureSpec, optional

@@ -12,9 +12,11 @@ provided:
 * ``event_density_general``      -- honest 4-D cubature of the formula
   above over truncated boxes (the brute-force oracle, any state, any
   amplitude, finite targets only);
-* ``event_density_gaussian`` and ``event_density_cat_quadrature`` -- the
-  target integral done analytically (Gaussian convolution), leaving a 2-D
-  momentum quadrature; works for any amplitude;
+* ``event_density_gaussian`` and ``event_density_cat_quadrature`` -- two
+  entry points of one 2-D momentum route: the target integral is done
+  analytically (Gaussian convolution), leaving a 2-D momentum quadrature
+  of the Gaussian-weighted amplitude, plus the fringe cos(2 r0 . p) for
+  the cats; works for any amplitude;
 * ``event_density_cat_closed``   -- hydrogen only: the momentum integral
   is also done analytically via a Schwinger parameterization, leaving a
   single exponentially damped 1-D integral
@@ -33,11 +35,12 @@ provided:
   kinematics adds one fringe row.  ``event_density_cat_closed`` is the
   one-kinematics case of the same integral.
 
-The 2-D momentum quadratures are evaluated in the frame rotated so that
-Qperp lies along +x; this is an exact change of variables (the Gaussian
-weight is isotropic) and makes the azimuthal symmetry of round beams exact
-instead of a quadrature accident.  Interference terms keep their relative
-azimuth ``phi_r0 - phi``.
+The 2-D momentum route takes the per-axis widths of the state.  Round
+beams are integrated in the frame rotated so that Qperp lies along +x;
+this is an exact change of variables (their Gaussian weight is isotropic)
+and makes their azimuthal symmetry exact instead of a quadrature accident.
+Interference terms keep their relative azimuth ``phi_r0 - phi``.  The
+anisotropic beam is integrated in the lab frame.
 
 Wide-target mode takes the sigma_t -> infinity limit analytically: the
 displaced-packet weight and the offset factor tend to one and the result
@@ -54,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -80,6 +84,8 @@ from .states import (
     INCOHERENT_PAIR,
     ODD_CAT,
     BeamState,
+    phase_space_box,
+    phase_space_panels,
     wigner_values,
 )
 from .targets import Kinematics, TargetProfile, hydrogen_amplitude, momentum_transfer
@@ -87,9 +93,7 @@ from .targets import Kinematics, TargetProfile, hydrogen_amplitude, momentum_tra
 __all__ = [
     "ScatteringConfig",
     "EventDensity",
-    "ClosedFormTerms",
     "ValidityCondition",
-    "closed_form_terms",
     "event_density_general",
     "event_density_gaussian",
     "event_density_cat_quadrature",
@@ -141,82 +145,84 @@ class EventDensity:
     n_e: int = 1
 
 
-@dataclass(frozen=True)
-class ClosedFormTerms:
-    """Per-node factors of the 1-D closed-form integrand."""
-
-    x: np.ndarray
-    decay_exponent: np.ndarray   # g(x) >= 1
-    fringe_scale: np.ndarray     # s(x) = (h-1)/h in [0, 1)
+def _sigma_sq(state: BeamState, target: TargetProfile) -> float | None:
+    """``EventDensity.sigma_sq``; None in the wide limit and for the anisotropic beam."""
+    if target.wide_limit or state.variant == ANISOTROPIC:
+        return None
+    return target.sigma_t ** 2 + state.sigma_perp ** 2
 
 
-def _default_amplitude(a: float) -> Callable:
-    def f(q):
-        return hydrogen_amplitude(q, a)
-
-    return f
-
-
-def _sigma_sq(target: TargetProfile, sigma_perp: float) -> float:
-    return target.sigma_t ** 2 + sigma_perp ** 2
-
-
-def _displaced_weight(b0: np.ndarray, r0: np.ndarray, sigma_sq: float) -> float:
-    """exp(-b0^2/2S^2) cosh(b0.r0/S^2) exp(-r0^2/2S^2), overflow-safe."""
-    dm = b0 - r0
-    dp = b0 + r0
-    return 0.5 * (
-        math.exp(-(dm @ dm) / (2.0 * sigma_sq))
-        + math.exp(-(dp @ dp) / (2.0 * sigma_sq))
-    )
-
-
-# ---------------------------------------------------------------------------
-# 2-D momentum quadratures (Gaussian-convolved target)
-# ---------------------------------------------------------------------------
-
-
-def _p_quad(
-    sigma_perp: float,
-    kin: Kinematics,
-    amplitude: Callable,
-    spec: QuadratureSpec,
-    r0: float = 0.0,
-    delta: float = 0.0,
-    want_cos: bool = False,
-):
-    """Gaussian-weighted momentum integrals in the Qperp-aligned frame.
-
-    Returns (I1, Icos) where
-    I1   = int d2q f(|Q - q|)^2 exp(-2 s^2 q^2)
-    Icos = same integrand times cos(2 r0 (qx cos d + qy sin d)).
+def _target_weights(state: BeamState, target: TargetProfile):
+    """(Sigma_j^2, bw, off) of a finite target: Sigma_j^2 = sigma_t^2 + sigma_j^2
+    per axis, the displaced-packet weight bw = [E(b0 - r0) + E(b0 + r0)] / 2
+    (the overflow-safe cosh form) and the fringe's offset factor off = E(b0),
+    where E(d) = exp(-sum_j d_j^2 / (2 Sigma_j^2)).
     """
+    ssq = np.array([target.sigma_t ** 2 + s ** 2 for s in state.widths])
+    b0, r0 = target.b0_vec, state.r0_vec
+
+    def gauss(d):
+        return math.exp(-(d * d / (2.0 * ssq)).sum())
+
+    return ssq, 0.5 * (gauss(b0 - r0) + gauss(b0 + r0)), gauss(b0)
+
+
+# ---------------------------------------------------------------------------
+# 2-D momentum quadrature (Gaussian-convolved target)
+# ---------------------------------------------------------------------------
+
+
+def _momentum_density(
+    cfg: ScatteringConfig, kin: Kinematics, amplitude: Callable | None, a: float
+) -> EventDensity:
+    """d nu / d Omega = pref (bw I_1 + sign off I_cos) / (1 + sign overlap) with
+
+        I_1   = int d2q f(|Q - q|)^2 exp(-2 (sigma_x^2 q_x^2 + sigma_y^2 q_y^2)),
+        I_cos = the same integrand times cos(2 r0 . q),
+
+    over +/-4 inverse widths.  Round beams integrate in the frame with Qperp
+    along +x, the anisotropic beam in the lab frame; I_cos is integrated
+    only for the cats (sign = parity != 0).
+    """
+    state, target = cfg.state, cfg.target
+    amplitude = amplitude or partial(hydrogen_amplitude, a=a)
+    spec = cfg.quad or DEFAULT_SPEC_2D
+    sx, sy = state.widths
+    sign = state.parity
     mt = momentum_transfer(kin)
-    qp, qz = mt.qperp_mag, mt.qz
-    lim = 4.0 / sigma_perp
-    box = [Interval(-lim, lim), Interval(-lim, lim)]
-    base = max(4, math.ceil(lim * sigma_perp))
+    if state.variant == ANISOTROPIC:
+        qx0, qy0 = mt.qperp
+    else:
+        qx0, qy0 = mt.qperp_mag, 0.0
+    wx, wy, qz2 = -2.0 * sx ** 2, -2.0 * sy ** 2, mt.qz * mt.qz
+    box = phase_space_box(state.widths, state.r0_vec, 4.0, 4.0)[2:]
 
     def weighted_f2(qx, qy):
-        q = np.sqrt((qp - qx) ** 2 + qy * qy + qz * qz)
+        q = np.sqrt((qx0 - qx) ** 2 + (qy0 - qy) ** 2 + qz2)
         amp = amplitude(q)
-        return amp * amp * np.exp(-2.0 * sigma_perp ** 2 * (qx * qx + qy * qy))
+        return amp * amp * np.exp(wx * qx * qx + wy * qy * qy)
 
-    i_one = integrate_nd(weighted_f2, box, spec, initial_splits=[base, base])
-    if not want_cos:
-        return i_one, None
+    i_one = integrate_nd(weighted_f2, box, spec, initial_splits=[4, 4])
+    if target.wide_limit:
+        bw, off, pref = 1.0, 1.0, 2.0 * sx * sy / math.pi
+    else:
+        ssq_j, bw, off = _target_weights(state, target)
+        pref = cfg.n_e * sx * sy / (math.pi ** 2 * math.sqrt(ssq_j.prod()))
+    value, err = bw * i_one.value, bw * i_one.err_est
+    if sign:
+        delta = state.phi_r0 - kin.phi
+        cx, cy = 2.0 * state.r0 * math.cos(delta), 2.0 * state.r0 * math.sin(delta)
 
-    cx, sx = 2.0 * r0 * math.cos(delta), 2.0 * r0 * math.sin(delta)
-    splits = [
-        max(base, oscillation_panels(2 * lim, abs(cx))),
-        max(base, oscillation_panels(2 * lim, abs(sx))),
-    ]
+        def fringed(qx, qy):
+            return weighted_f2(qx, qy) * np.cos(cx * qx + cy * qy)
 
-    def fringed(qx, qy):
-        return weighted_f2(qx, qy) * np.cos(cx * qx + sx * qy)
-
-    i_cos = integrate_nd(fringed, box, spec, initial_splits=splits)
-    return i_one, i_cos
+        splits = [max(4, oscillation_panels(iv.width, abs(c))) for iv, c in zip(box, (cx, cy))]
+        i_cos = integrate_nd(fringed, box, spec, initial_splits=splits)
+        value += sign * off * i_cos.value
+        err += off * i_cos.err_est
+    norm = 1.0 + sign * state.packet_overlap
+    return EventDensity(pref * value / norm, QUADRATURE_2D, pref * err / norm,
+                        _sigma_sq(state, target), target.wide_limit, cfg.n_e)
 
 
 def event_density_gaussian(
@@ -234,53 +240,11 @@ def event_density_gaussian(
     packet factorizes per axis with per-axis ``Sigma_j^2 = sigma_t^2 +
     sigma_j^2`` and is integrated in the lab frame.
     """
-    state, target = cfg.state, cfg.target
-    if state.variant not in (GAUSSIAN, ANISOTROPIC):
+    if cfg.state.variant not in (GAUSSIAN, ANISOTROPIC):
         raise UnsupportedVariant(
-            f"event_density_gaussian expects a gaussian-like state, got {state.variant}"
+            f"event_density_gaussian expects a gaussian-like state, got {cfg.state.variant}"
         )
-    amplitude = amplitude or _default_amplitude(a)
-    spec = cfg.quad or DEFAULT_SPEC_2D
-
-    if state.variant == GAUSSIAN:
-        sp = state.sigma_perp
-        i_one, _ = _p_quad(sp, kin, amplitude, spec)
-        if target.wide_limit:
-            scale = 2.0 * sp ** 2 / math.pi
-            return EventDensity(scale * i_one.value, QUADRATURE_2D,
-                                scale * i_one.err_est, None, True, cfg.n_e)
-        ssq = _sigma_sq(target, sp)
-        b0 = target.b0_vec
-        pref = (cfg.n_e * sp ** 2 / (math.pi ** 2 * ssq)
-                * math.exp(-(b0 @ b0) / (2.0 * ssq)))
-        return EventDensity(pref * i_one.value, QUADRATURE_2D,
-                            pref * i_one.err_est, ssq, False, cfg.n_e)
-
-    # Anisotropic packet: lab frame, per-axis Gaussian weights.
-    sx, sy = state.sigma_x, state.sigma_y
-    mt = momentum_transfer(kin)
-    qx0, qy0 = mt.qperp
-    qz = mt.qz
-
-    def weighted_f2(px, py):
-        q = np.sqrt((qx0 - px) ** 2 + (qy0 - py) ** 2 + qz * qz)
-        amp = amplitude(q)
-        return amp * amp * np.exp(-2.0 * (sx ** 2 * px * px + sy ** 2 * py * py))
-
-    box = [Interval(-4.0 / sx, 4.0 / sx), Interval(-4.0 / sy, 4.0 / sy)]
-    splits = [max(4, math.ceil(4.0)), max(4, math.ceil(4.0))]
-    i_one = integrate_nd(weighted_f2, box, spec, initial_splits=splits)
-    if target.wide_limit:
-        scale = 2.0 * sx * sy / math.pi
-        return EventDensity(scale * i_one.value, QUADRATURE_2D,
-                            scale * i_one.err_est, None, True, cfg.n_e)
-    ssx = target.sigma_t ** 2 + sx ** 2
-    ssy = target.sigma_t ** 2 + sy ** 2
-    b0x, b0y = target.b0
-    pref = (cfg.n_e * sx * sy / (math.pi ** 2 * math.sqrt(ssx * ssy))
-            * math.exp(-b0x ** 2 / (2 * ssx) - b0y ** 2 / (2 * ssy)))
-    return EventDensity(pref * i_one.value, QUADRATURE_2D,
-                        pref * i_one.err_est, None, False, cfg.n_e)
+    return _momentum_density(cfg, kin, amplitude, a)
 
 
 def event_density_cat_quadrature(
@@ -296,66 +260,16 @@ def event_density_cat_quadrature(
     interference fringe ``cos(2 r0 . p)``.  Any real amplitude may be
     supplied; hydrogen with radius ``a`` is the default.
     """
-    state, target = cfg.state, cfg.target
-    if state.variant not in (EVEN_CAT, ODD_CAT, INCOHERENT_PAIR):
+    if cfg.state.variant not in (EVEN_CAT, ODD_CAT, INCOHERENT_PAIR):
         raise UnsupportedVariant(
-            f"event_density_cat_quadrature expects a two-packet state, got {state.variant}"
+            f"event_density_cat_quadrature expects a two-packet state, got {cfg.state.variant}"
         )
-    amplitude = amplitude or _default_amplitude(a)
-    spec = cfg.quad or DEFAULT_SPEC_2D
-    sp = state.sigma_perp
-    sign = state.parity
-    delta = state.phi_r0 - kin.phi
-    want_cos = sign != 0
-
-    i_one, i_cos = _p_quad(sp, kin, amplitude, spec,
-                           r0=state.r0, delta=delta, want_cos=want_cos)
-
-    if target.wide_limit:
-        scale = 2.0 * sp ** 2 / math.pi
-        if sign == 0:
-            value, err = i_one.value, i_one.err_est
-        else:
-            norm = 1.0 + sign * state.packet_overlap
-            value = (i_one.value + sign * i_cos.value) / norm
-            err = (i_one.err_est + i_cos.err_est) / norm
-        return EventDensity(scale * value, QUADRATURE_2D, scale * err,
-                            None, True, cfg.n_e)
-
-    ssq = _sigma_sq(target, sp)
-    b0 = target.b0_vec
-    bw = _displaced_weight(b0, state.r0_vec, ssq)
-    pref = cfg.n_e * sp ** 2 / (math.pi ** 2 * ssq)
-    if sign == 0:
-        value = pref * bw * i_one.value
-        err = pref * bw * i_one.err_est
-    else:
-        off = math.exp(-(b0 @ b0) / (2.0 * ssq))
-        norm = 1.0 + sign * state.packet_overlap
-        value = pref * (bw * i_one.value + sign * off * i_cos.value) / norm
-        err = pref * (bw * i_one.err_est + off * i_cos.err_est) / norm
-    return EventDensity(value, QUADRATURE_2D, err, ssq, False, cfg.n_e)
+    return _momentum_density(cfg, kin, amplitude, a)
 
 
 # ---------------------------------------------------------------------------
 # Hydrogen closed form (1-D)
 # ---------------------------------------------------------------------------
-
-
-def closed_form_terms(
-    x, kin: Kinematics, sigma_perp: float, a: float = 1.0
-) -> ClosedFormTerms:
-    """Decay exponent and fringe scale of the closed-form integrand.
-
-    ``decay_exponent`` is >= 1 for every real kinematics (both of its
-    added terms are nonnegative); ``fringe_scale`` runs from 0 towards 1.
-    """
-    x = np.asarray(x, dtype=float)
-    mt = momentum_transfer(kin)
-    h = 1.0 + x * a ** 2 / (8.0 * sigma_perp ** 2)
-    g = 1.0 + (a / 2.0) ** 2 * (mt.qz ** 2 + mt.qperp_mag ** 2 / h)
-    s = (h - 1.0) / h
-    return ClosedFormTerms(x=x, decay_exponent=g, fringe_scale=s)
 
 
 def event_density_cat_closed(
@@ -446,13 +360,11 @@ def _cat_closed_batch(
 
     # d nu = pref (bw t_one + sign off t_cos) / norm with t_cos = t_sum - t_one;
     # the wide limit is bw = off = 1 with pref = beta.
+    ssq = _sigma_sq(state, target)
     if target.wide_limit:
-        ssq, bw, off, pref = None, 1.0, 1.0, beta
+        bw, off, pref = 1.0, 1.0, beta
     else:
-        ssq = _sigma_sq(target, sp)
-        b0 = target.b0_vec
-        bw = _displaced_weight(b0, state.r0_vec, ssq)
-        off = math.exp(-(b0 @ b0) / (2.0 * ssq))
+        _, bw, off = _target_weights(state, target)
         pref = cfg.n_e * beta / (2.0 * math.pi * ssq)
     norm = 1.0 + sign * state.packet_overlap
     c_one = bw - sign * off
@@ -487,37 +399,22 @@ def event_density_general(
     state, target = cfg.state, cfg.target
     if target.wide_limit:
         raise ValueError("event_density_general requires a finite target")
-    amplitude = amplitude or _default_amplitude(a)
+    amplitude = amplitude or partial(hydrogen_amplitude, a=a)
     spec = cfg.quad or DEFAULT_SPEC_4D
     mt = momentum_transfer(kin)
     qx0, qy0 = mt.qperp
     qz = mt.qz
 
-    sx, sy = state.widths
-    r0x, r0y = (abs(v) for v in state.r0_vec)
     b0x, b0y = target.b0
     st = target.sigma_t
 
-    def b_axis(r0j, sj, b0j):
-        lo = max(-(r0j + 6.0 * sj), b0j - 8.0 * st)
-        hi = min(r0j + 6.0 * sj, b0j + 8.0 * st)
-        if lo >= hi:  # disjoint supports: integrate over the beam support
-            lo, hi = -(r0j + 6.0 * sj), r0j + 6.0 * sj
-        return Interval(lo, hi)
+    def clip(iv, b0j):
+        lo, hi = max(iv.lo, b0j - 8.0 * st), min(iv.hi, b0j + 8.0 * st)
+        # Disjoint supports: integrate over the beam support.
+        return Interval(lo, hi) if lo < hi else iv
 
-    bx, by = b_axis(r0x, sx, b0x), b_axis(r0y, sy, b0y)
-    px = Interval(-4.0 / sx, 4.0 / sx)
-    py = Interval(-4.0 / sy, 4.0 / sy)
-    box = [bx, by, px, py]
-    is_cat = state.is_cat
-    splits = [
-        max(4, math.ceil(bx.width / (2.0 * sx))),
-        max(4, math.ceil(by.width / (2.0 * sy))),
-        max(4, math.ceil(px.width * sx / 2.0),
-            oscillation_panels(px.width, 2.0 * r0x) if is_cat else 1),
-        max(4, math.ceil(py.width * sy / 2.0),
-            oscillation_panels(py.width, 2.0 * r0y) if is_cat else 1),
-    ]
+    bx, by, px, py = phase_space_box(state.widths, state.r0_vec, 6.0, 4.0)
+    box = [clip(bx, b0x), clip(by, b0y), px, py]
 
     if density is None:
         st2 = 2.0 * st * st
@@ -531,7 +428,7 @@ def event_density_general(
         amp = amplitude(q)
         return density(ux, uy) * w * amp * amp
 
-    res = integrate_nd(integrand, box, spec, initial_splits=splits)
+    res = integrate_nd(integrand, box, spec, initial_splits=phase_space_panels(state, box))
     value = cfg.n_e * res.value
     err = cfg.n_e * res.err_est
     if value < -err:
@@ -539,9 +436,7 @@ def event_density_general(
             f"general 4-D total {value:.3e} below -err_est {-err:.3e}; "
             "quadrature failure on a physically nonnegative quantity"
         )
-    sp_eff = state.sigma_perp if state.variant != ANISOTROPIC else None
-    ssq = _sigma_sq(target, sp_eff) if sp_eff is not None else None
-    return EventDensity(value, GENERAL_4D, err, ssq, False, cfg.n_e)
+    return EventDensity(value, GENERAL_4D, err, _sigma_sq(state, target), False, cfg.n_e)
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +488,11 @@ def event_densities(
     The closed form integrates up to 64 kinematics at a time as one
     vector-valued integral on a shared panel set: one phi-free weight row
     per distinct (p_i, p_f, theta) plus one fringe row per kinematics,
-    each row meeting the tolerance on its own.  The semi-infinite domain is truncated at ``x_max = -ln(eps) / g_inf +
-    40``, the largest over the rows (g_inf >= 1 the x -> inf decay rate),
-    which bounds the dropped tail analytically far below tolerance; the
-    fastest fringe fixes the initial panelization.  Results are
+    each row meeting the tolerance on its own.  The semi-infinite domain
+    is truncated at ``x_max = -ln(eps) / g_inf + 40``, the largest over the
+    rows (g_inf >= 1 the x -> inf decay rate), which bounds the dropped
+    tail analytically far below tolerance; the fastest fringe fixes the
+    initial panelization.  Results are
     deterministic for a given list, and agree with the one-at-a-time
     values within their error estimates.  Other methods run per point.
     """

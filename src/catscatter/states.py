@@ -26,6 +26,10 @@ interference term ``cos(2 r0 . p)`` can turn negative; the incoherent pair
 keeps only the displaced part and stays nonnegative.  For numerical
 stability the displaced part is evaluated as the explicit two-bump sum
 rather than via ``cosh`` (avoids overflow at large separations).
+
+Every phase-space truncation box (negativity scans, normalization, the
+4-D scattering oracle, the CLI export) comes from :func:`phase_space_box`,
+and :func:`wigner_slice` is the one grid along the separation axis.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +58,9 @@ __all__ = [
     "kinetic_energy_keV",
     "momentum_from_keV",
     "phase_space_grid",
+    "phase_space_box",
+    "phase_space_panels",
+    "wigner_slice",
 ]
 
 HARTREE_EV = 27.2114
@@ -183,6 +191,9 @@ class BeamState:
 
     @property
     def r0_vec(self) -> np.ndarray:
+        """Half-separation vector; zero for single packets, which ignore r0."""
+        if self.variant not in _TWO_PACKET:
+            return np.zeros(2)
         return self.r0 * np.array([math.cos(self.phi_r0), math.sin(self.phi_r0)])
 
     @property
@@ -294,17 +305,55 @@ class NegativityScan:
     mode: str
 
 
-def _default_boxes(state: BeamState) -> tuple[Interval, Interval, Interval, Interval]:
+def phase_space_box(
+    widths: Sequence[float], centers: Sequence[float], n_r: float, n_p: float
+) -> tuple[Interval, Interval, Interval, Interval]:
+    """Truncation box (x, y, p_x, p_y) of packets centered at ``+/-centers``.
+
+    Axis j spans ``+/-(n_r * sigma_j + |c_j|)`` in position, enough to hold
+    both packets, and ``+/-n_p / sigma_j`` in momentum.  Pass the lab-frame
+    ``state.widths, state.r0_vec``, or ``(r0, 0)`` as the centers for axes
+    aligned with the separation.
+    """
+    (sx, sy), (cx, cy) = widths, centers
+    rx, ry = n_r * sx + abs(cx), n_r * sy + abs(cy)
+    px, py = n_p / sx, n_p / sy
+    return Interval(-rx, rx), Interval(-ry, ry), Interval(-px, px), Interval(-py, py)
+
+
+def phase_space_panels(state: BeamState, box: Sequence[Interval]) -> list[int]:
+    """Initial splits of a 4-D (x, y, p_x, p_y) box for cubature of W.
+
+    Panels span about one packet width per axis; on the momentum axes of a
+    cat they also hold at most pi/8 of the fringe ``cos(2 r0 . p)``.
+    """
     sx, sy = state.widths
-    r0x, r0y = (abs(v) for v in state.r0_vec)
-    rx = 4.0 * sx + r0x
-    ry = 4.0 * sy + r0y
-    return (
-        Interval(-rx, rx),
-        Interval(-ry, ry),
-        Interval(-4.0 / sx, 4.0 / sx),
-        Interval(-4.0 / sy, 4.0 / sy),
-    )
+    bx, by, bpx, bpy = box
+    rate_x, rate_y = (2.0 * abs(v) if state.is_cat else 0.0 for v in state.r0_vec)
+    return [
+        max(4, math.ceil(bx.width / (2.0 * sx))),
+        max(4, math.ceil(by.width / (2.0 * sy))),
+        max(4, math.ceil(bpx.width * sx / 2.0), oscillation_panels(bpx.width, rate_x)),
+        max(4, math.ceil(bpy.width * sy / 2.0), oscillation_panels(bpy.width, rate_y)),
+    ]
+
+
+def wigner_slice(
+    state: BeamState, n: int, u_box: Interval | None = None, p_box: Interval | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W on an ``n x n`` grid of the (u, p_u) plane along the separation axis.
+
+    The transverse coordinates are held at zero (the plotting convention
+    ``y = p_y = 0`` when ``r0`` lies along x).  The boxes default to
+    ``+/-(4 sigma + r0)`` and ``+/-4 / sigma``.  Returns ``(U, PU, W)``,
+    indexed ``[u, p_u]``.
+    """
+    du, _, dp, _ = phase_space_box(state.widths, (state.r0, 0.0), 4.0, 4.0)
+    u_box, p_box = u_box or du, p_box or dp
+    ex, ey = math.cos(state.phi_r0), math.sin(state.phi_r0)
+    U, PU = np.meshgrid(phase_space_grid(u_box.lo, u_box.hi, n),
+                        phase_space_grid(p_box.lo, p_box.hi, n), indexing="ij")
+    return U, PU, wigner_values(state, U * ex, U * ey, PU * ex, PU * ey)
 
 
 def negativity_scan(
@@ -324,7 +373,9 @@ def negativity_scan(
 
     The boxes must cover at least ``+/-4 sigma`` in position and
     ``+/-4/sigma`` in momentum; defaults extend the position box by ``r0``
-    so both packets are inside.
+    so both packets are inside.  The slice's default box is measured along
+    the separation axis, so a round beam scans the same plane for every
+    ``phi_r0``.
     """
     if mode not in ("slice", "full"):
         raise ValueError(f"mode must be 'slice' or 'full', got {mode!r}")
@@ -332,42 +383,29 @@ def negativity_scan(
         grid_n = 128 if mode == "slice" else 32
     if grid_n < 16:
         raise ValueError("grid_n must be >= 16")
-    dx, dy, dpx, dpy = _default_boxes(state)
-    bx, by = r_box if r_box is not None else (dx, dy)
-    bpx, bpy = p_box if p_box is not None else (dpx, dpy)
     sx, sy = state.widths
-    for iv, need, label in (
-        (bx, 4.0 * sx, "r_box[0]"), (by, 4.0 * sy, "r_box[1]"),
-        (bpx, 4.0 / sx, "p_box[0]"), (bpy, 4.0 / sy, "p_box[1]"),
-    ):
-        if iv.lo > -need or iv.hi < need:
-            raise ValueError(f"{label} must cover at least +/-{need:g}")
+    for boxes, needs, label in ((r_box, (4.0 * sx, 4.0 * sy), "r_box"),
+                                (p_box, (4.0 / sx, 4.0 / sy), "p_box")):
+        for j, (iv, need) in enumerate(zip(boxes or (), needs)):
+            if iv.lo > -need or iv.hi < need:
+                raise ValueError(f"{label}[{j}] must cover at least +/-{need:g}")
 
     if mode == "slice":
-        # Slice along the separation direction (x axis when phi_r0 = 0).
+        U, PU, w = wigner_slice(state, grid_n, r_box and r_box[0], p_box and p_box[0])
         ex, ey = math.cos(state.phi_r0), math.sin(state.phi_r0)
-        u = phase_space_grid(bx.lo, bx.hi, grid_n)
-        pu = phase_space_grid(bpx.lo, bpx.hi, grid_n)
-        U, PU = np.meshgrid(u, pu, indexing="ij")
-        w = wigner_values(state, U * ex, U * ey, PU * ex, PU * ey)
-        flat = int(np.argmin(w))
-        umin, pmin = float(U.ravel()[flat]), float(PU.ravel()[flat])
-        loc = PhasePoint(r=(umin * ex, umin * ey), p=(pmin * ex, pmin * ey))
+        coords = (U * ex, U * ey, PU * ex, PU * ey)
     else:
-        xs = phase_space_grid(bx.lo, bx.hi, grid_n)
-        ys = phase_space_grid(by.lo, by.hi, grid_n)
-        pxs = phase_space_grid(bpx.lo, bpx.hi, grid_n)
-        pys = phase_space_grid(bpy.lo, bpy.hi, grid_n)
-        X, Y, PX, PY = np.meshgrid(xs, ys, pxs, pys, indexing="ij")
-        w = wigner_values(state, X, Y, PX, PY)
-        flat = int(np.argmin(w))
-        loc = PhasePoint(
-            r=(float(X.ravel()[flat]), float(Y.ravel()[flat])),
-            p=(float(PX.ravel()[flat]), float(PY.ravel()[flat])),
-        )
+        boxes = phase_space_box(state.widths, state.r0_vec, 4.0, 4.0)
+        bx, by = r_box or boxes[:2]
+        bpx, bpy = p_box or boxes[2:]
+        grids = (phase_space_grid(iv.lo, iv.hi, grid_n) for iv in (bx, by, bpx, bpy))
+        coords = np.meshgrid(*grids, indexing="ij")
+        w = wigner_values(state, *coords)
+    flat = int(np.argmin(w))
+    x, y, px, py = (float(c.ravel()[flat]) for c in coords)
     return NegativityScan(
         min_value=float(w.min()),
-        min_location=loc,
+        min_location=PhasePoint(r=(x, y), p=(px, py)),
         negative_volume_fraction=float(np.count_nonzero(w < 0.0) / w.size),
         grid_n=grid_n,
         mode=mode,
@@ -386,23 +424,6 @@ def wigner_normalization(
     """
     if spec is None:
         spec = QuadratureSpec(rel_tol=1e-4, abs_tol=1e-6, max_subdivisions=200_000)
-    sx, sy = state.widths
-    r0x, r0y = (abs(v) for v in state.r0_vec)
-    rx, ry = 6.0 * sx + r0x, 6.0 * sy + r0y
-    px, py = 4.5 / sx, 4.5 / sy
-    box = [Interval(-rx, rx), Interval(-ry, ry), Interval(-px, px), Interval(-py, py)]
-    # Panels of about one packet width per axis; the fringe safeguard on the
-    # momentum axes applies only when an interference term is present.
-    osc_x = oscillation_panels(2 * px, 2 * r0x) if state.is_cat else 1
-    osc_y = oscillation_panels(2 * py, 2 * r0y) if state.is_cat else 1
-    splits = [
-        max(4, math.ceil(rx / sx)),
-        max(4, math.ceil(ry / sy)),
-        max(4, math.ceil(px * sx), osc_x),
-        max(4, math.ceil(py * sy), osc_y),
-    ]
-
-    def f(x, y, pxa, pya):
-        return wigner_values(state, x, y, pxa, pya)
-
-    return integrate_nd(f, box, spec, initial_splits=splits)
+    box = phase_space_box(state.widths, state.r0_vec, 6.0, 4.5)
+    return integrate_nd(partial(wigner_values, state), box, spec,
+                        initial_splits=phase_space_panels(state, box))

@@ -1,6 +1,8 @@
-"""Property tests of the batched closed form over the beam and kinematics
-parameter space: pi-periodicity and reflection symmetry of dnu(phi) about
-the separation azimuth, and nonnegativity."""
+"""Property tests over the beam and kinematics parameter space: for the
+batched closed form, pi-periodicity and reflection symmetry of dnu(phi)
+about the separation azimuth, and nonnegativity; for the 2-D momentum
+route, the Gaussian and mixture nulls, the frame change and agreement with
+the closed form."""
 
 import math
 
@@ -8,7 +10,13 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catscatter.scattering import ScatteringConfig, event_densities
+from catscatter.scattering import (
+    ScatteringConfig,
+    event_densities,
+    event_density_cat_closed,
+    event_density_cat_quadrature,
+    event_density_gaussian,
+)
 from catscatter.states import BeamState
 from catscatter.targets import Kinematics, TargetProfile
 
@@ -40,3 +48,51 @@ def test_batched_scan_symmetries(sigma_perp, r0, theta, p, phi_r0, odd, wide):
         for j in ((k + N_PHI // 2) % N_PHI, (N_PHI - k) % N_PHI):  # phi + pi, 2 phi_r0 - phi
             other = eds[j]
             assert abs(ed.value - other.value) <= ed.err_est + other.err_est
+
+
+# -- the 2-D momentum route ----------------------------------------------------
+
+ROUTE_2D = dict(
+    sigma_perp=st.floats(0.3, 10.0),
+    r0_ratio=st.floats(0.05, 3.0),
+    theta=st.floats(0.0, math.pi),
+    p=st.floats(1.0, 40.0),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    phi_r0=st.floats(0.0, 2.0 * math.pi),
+    wide=st.booleans(),
+)
+
+
+def _agree(a, b):
+    assert abs(a.value - b.value) <= a.err_est + b.err_est
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**ROUTE_2D)
+def test_route_2d_nulls_and_frames(sigma_perp, r0_ratio, theta, p, phi, phi_r0, wide):
+    """Gaussian and incoherent-pair densities are flat in phi, and the
+    anisotropic beam with equal widths (lab frame) is the round Gaussian
+    (Qperp-aligned frame)."""
+    target = TargetProfile.wide() if wide else TargetProfile.gaussian(20.0, (1.0, -0.5))
+    kins = [Kinematics.elastic(p, theta, phi), Kinematics.elastic(p, theta, phi_r0)]
+    r0 = r0_ratio * sigma_perp
+    gauss = [event_density_gaussian(ScatteringConfig(BeamState.gaussian(sigma_perp), target), k)
+             for k in kins]
+    mix_cfg = ScatteringConfig(BeamState.incoherent_pair(sigma_perp, r0, phi_r0=phi_r0), target)
+    mix = [event_density_cat_quadrature(mix_cfg, k) for k in kins]
+    aniso = event_density_gaussian(
+        ScatteringConfig(BeamState.anisotropic(sigma_perp, sigma_perp), target), kins[0])
+    _agree(*gauss)
+    _agree(*mix)
+    _agree(aniso, gauss[0])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(**ROUTE_2D, odd=st.booleans())
+def test_route_2d_cat_agrees_with_closed_form(sigma_perp, r0_ratio, theta, p, phi, phi_r0,
+                                              wide, odd):
+    maker = BeamState.odd_cat if odd else BeamState.even_cat
+    target = TargetProfile.wide() if wide else TargetProfile.gaussian(20.0, (1.0, -0.5))
+    cfg = ScatteringConfig(maker(sigma_perp, r0_ratio * sigma_perp, phi_r0=phi_r0), target)
+    kin = Kinematics.elastic(p, theta, phi)
+    _agree(event_density_cat_quadrature(cfg, kin), event_density_cat_closed(cfg, kin))

@@ -170,6 +170,24 @@ def test_scalar_callable_fallback():
     assert abs(r.value - math.sqrt(math.pi)) <= 1e-9
 
 
+@pytest.mark.parametrize("domain", [Interval(0.0, 1.0), Interval(0.0, math.inf)])
+def test_later_integrand_error_propagates(domain):
+    # The scalar fallback is decided on the first evaluation only: an
+    # array integrand that fails on a later round raises instead of being
+    # re-run point by point.
+    calls = []
+
+    def f(x):
+        calls.append(np.size(x))
+        if len(calls) == 2:
+            raise ValueError("second call fails")
+        return np.sqrt(x) * np.exp(-x)
+
+    with pytest.raises(ValueError, match="second call fails"):
+        integrate_1d(f, domain)
+    assert len(calls) == 2
+
+
 def test_semi_infinite_rejects_nondecaying():
     with pytest.raises(NonConvergence):
         integrate_1d(lambda x: 1.0 / (1.0 + x), Interval(0.0, math.inf),

@@ -7,10 +7,8 @@ from scipy.integrate import dblquad, quad
 from catscatter.errors import MissingSigma, UnsupportedVariant
 from catscatter.quadrature import QuadratureSpec
 from catscatter.scattering import (
-    ClosedFormTerms,
     EventDensity,
     ScatteringConfig,
-    closed_form_terms,
     cross_section,
     event_densities,
     event_density,
@@ -226,6 +224,16 @@ def test_gaussian_phi_scan_flat_even_off_axis():
     assert (max(vals) - min(vals)) / max(vals) <= 1e-8
 
 
+def test_single_packet_ignores_a_stray_separation():
+    # An r0 sweep applies with_r0 to any state; a single packet stays put.
+    target = TargetProfile.gaussian(20.0, (3.0, 0.0))
+    kin = Kinematics.elastic(10.0, 10.0 * DEG, 0.4)
+    for state in (BeamState.gaussian(2.0), BeamState.anisotropic(1.5, 2.5)):
+        moved = ScatteringConfig(state.with_r0(4.0), target)
+        assert event_density_gaussian(moved, kin) == event_density_gaussian(
+            ScatteringConfig(state, target), kin)
+
+
 def test_mixture_phi_scan_flat():
     cfg = ScatteringConfig(BeamState.incoherent_pair(2.0, 4.0),
                            TargetProfile.gaussian(20.0, (2.0, 1.0)), quad=TIGHT2)
@@ -304,19 +312,7 @@ def test_batched_route_loops_for_other_methods():
         event_densities(cfg, kins, method="nope")
 
 
-# -- closed-form terms --------------------------------------------------------
-
-
-def test_decay_exponent_at_least_one():
-    rng = np.random.default_rng(13)
-    x = np.linspace(0.0, 80.0, 200)
-    for _ in range(10):
-        kin = Kinematics.elastic(rng.uniform(1, 40), rng.uniform(0, math.pi),
-                                 rng.uniform(0, 2 * math.pi))
-        t = closed_form_terms(x, kin, sigma_perp=rng.uniform(1, 8), a=1.0)
-        assert isinstance(t, ClosedFormTerms)
-        assert np.all(t.decay_exponent >= 1.0)
-        assert np.all((0.0 <= t.fringe_scale) & (t.fringe_scale < 1.0))
+# -- closed form --------------------------------------------------------------
 
 
 def test_wide_limit_even_cat_bracket_at_zero_separation():

@@ -285,6 +285,16 @@ def test_full_mode_scan():
     assert s.mode == "full"
 
 
+@pytest.mark.parametrize("phi_r0", [0.5, math.pi / 2])
+def test_slice_scan_follows_the_separation_axis(phi_r0):
+    # The default slice box spans 4 sigma + r0 along the separation axis,
+    # so rotating a round cat's separation rotates the scanned plane.
+    ref = negativity_scan(BeamState.even_cat(1.0, 6.0))
+    s = negativity_scan(BeamState.even_cat(1.0, 6.0, phi_r0=phi_r0))
+    assert s.negative_volume_fraction == ref.negative_volume_fraction
+    assert s.min_value == pytest.approx(ref.min_value, rel=1e-12)
+
+
 def test_scan_box_coverage_enforced():
     with pytest.raises(ValueError):
         negativity_scan(BeamState.gaussian(2.0),
