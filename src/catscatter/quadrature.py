@@ -1,4 +1,4 @@
-"""Deterministic adaptive quadrature over intervals and 2-D/4-D boxes.
+"""Deterministic adaptive quadrature over finite intervals and 2-D/4-D boxes.
 
 The engine subdivides panels carrying an embedded (nested) rule pair:
 
@@ -20,20 +20,18 @@ randomness enters anywhere, so two calls with identical inputs return
 bit-identical results.  Everything is pure and reentrant; callers may
 integrate from many threads concurrently.
 
-Integrands must be vectorized: ``f`` receives one ``numpy`` array per
-coordinate and returns an array of the same shape, or of shape
-``(B, *shape)`` for a batch of ``B`` integrands.  Callables that reject
-arrays (``math.exp``) are detected on the first evaluation and wrapped in
-a scalar loop fallback; that choice is final, so an error raised by a
-later evaluation propagates.  Any other output shape is an error.
-
-Semi-infinite upper limits are handled by adaptive extension in doubling
-windows, which requires the integrand to decay at least exponentially
-(documented contract of :func:`integrate_1d`).
+Every bound of a domain is finite; a caller with a decaying tail truncates
+it where the dropped part is below tolerance.  Integrands must be
+vectorized: ``f`` receives one ``numpy`` array per coordinate and returns
+an array of the same shape, or of shape ``(B, *shape)`` for a batch of
+``B`` integrands.  The first evaluation fixes which of the two it is; any
+other output shape, then or later, is a ``ValueError``.  A callable that
+rejects arrays (``math.exp``) raises its own error.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -57,20 +55,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Interval:
-    """Integration interval; ``hi`` may be ``math.inf`` (upper end only)."""
+    """Finite integration interval ``[lo, hi]`` with ``lo < hi``."""
 
     lo: float
     hi: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.lo):
-            raise ValueError(f"interval lower bound must be finite, got {self.lo}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"interval bounds must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def infinite(self) -> bool:
-        return math.isinf(self.hi)
 
     @property
     def width(self) -> float:
@@ -83,14 +77,12 @@ class QuadratureSpec:
 
     The engine stops when the summed panel error drops below
     ``max(abs_tol, rel_tol * |value|)``.  ``max_subdivisions`` counts panel
-    bisections (initial panelization is free).  Panels are never split
-    below ``min_panel_width`` per axis.
+    bisections (initial panelization is free).
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 0.0
     max_subdivisions: int = 10_000
-    min_panel_width: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.rel_tol > 0:
@@ -99,8 +91,6 @@ class QuadratureSpec:
             raise ValueError("abs_tol must be >= 0")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.min_panel_width < 0:
-            raise ValueError("min_panel_width must be >= 0")
 
 
 DEFAULT_SPEC_1D = QuadratureSpec(rel_tol=1e-8)
@@ -122,18 +112,21 @@ class QuadratureResult:
     subdivisions: int = 0
 
 
-def oscillation_panels(width: float, phase_rate: float, cap: int = 8192) -> int:
+_MAX_OSC_PANELS = 8192
+
+
+def oscillation_panels(width: float, phase_rate: float) -> int:
     """Initial panel count so each panel spans at most pi/8 of phase.
 
     ``phase_rate`` is the maximum |d(phase)/dx| of a cosine factor on the
     axis.  Keeping the per-panel phase under pi/8 prevents the adaptive
     scheme from locking onto an aliased estimate of an oscillatory
-    integrand.
+    integrand.  The count is capped at 8192 panels per axis.
     """
     if phase_rate <= 0 or width <= 0:
         return 1
     n = int(math.ceil(width * phase_rate / (math.pi / 8.0)))
-    return max(1, min(n, cap))
+    return max(1, min(n, _MAX_OSC_PANELS))
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +181,22 @@ _WG_EMBEDDED[1::2] = np.array([
 ])
 
 
-class _TensorGaussKronrod:
+class _EmbeddedRule:
+    """A rule pair ``w_high``/``w_low`` on the reference box [-1, 1]^d."""
+
+    def apply(self, vals: np.ndarray, halves: np.ndarray):
+        """vals: (nbox, npts); halves: (nbox, d) half-widths.  Returns the
+        panel values, their error bounds and the per-axis split scores."""
+        scale = np.prod(halves, axis=1)
+        high = vals @ self.w_high
+        low = vals @ self.w_low
+        return high * scale, np.abs(high - low) * scale, self.scores(vals, high)
+
+
+class _TensorGaussKronrod(_EmbeddedRule):
     """Tensor-product K15/G7 rule for 1-D and 2-D boxes."""
 
     def __init__(self, ndim: int):
-        self.ndim = ndim
         grids = np.meshgrid(*([_XGK] * ndim), indexing="ij")
         self.nodes = np.stack([g.ravel() for g in grids], axis=-1)  # (npts, d)
         self.npts = self.nodes.shape[0]
@@ -212,26 +216,14 @@ class _TensorGaussKronrod:
             for ax in range(ndim)
         ]
 
-    def apply(self, vals: np.ndarray, halves: np.ndarray):
-        """vals: (nbox, npts); halves: (nbox, d) half-widths."""
-        scale = np.prod(halves, axis=1)
-        high = vals @ self.w_high
-        low = vals @ self.w_low
-        value = high * scale
-        err = np.abs(high - low) * scale
-        scores = np.stack(
-            [np.abs(high - vals @ w) for w in self.w_axis], axis=-1
-        )
-        return value, err, scores
+    def scores(self, vals: np.ndarray, high: np.ndarray) -> np.ndarray:
+        return np.stack([np.abs(high - vals @ w) for w in self.w_axis], axis=-1)
 
 
-class _GenzMalik:
+class _GenzMalik(_EmbeddedRule):
     """Genz-Malik degree-7 rule with embedded degree-5 error estimate."""
 
     def __init__(self, ndim: int):
-        if ndim < 2:
-            raise ValueError("Genz-Malik rule needs ndim >= 2")
-        self.ndim = ndim
         d = ndim
         l2 = math.sqrt(9.0 / 70.0)
         l3 = math.sqrt(9.0 / 10.0)
@@ -288,83 +280,22 @@ class _GenzMalik:
         wl[n4_start:n5_start] = vol * 25.0 / 729.0
         self.w_low = wl
 
-    def apply(self, vals: np.ndarray, halves: np.ndarray):
-        scale = np.prod(halves, axis=1)
-        high = vals @ self.w_high
-        low = vals @ self.w_low
-        value = high * scale
-        err = np.abs(high - low) * scale
+    def scores(self, vals: np.ndarray, high: np.ndarray) -> np.ndarray:
         # Fourth-difference indicator per axis (Genz-Malik split heuristic).
         f0 = vals[..., 0][..., None]
         s2 = vals[..., self.idx2[:, 0]] + vals[..., self.idx2[:, 1]] - 2.0 * f0
         s3 = vals[..., self.idx3[:, 0]] + vals[..., self.idx3[:, 1]] - 2.0 * f0
-        scores = np.abs(s2 - self.ratio * s3)
-        return value, err, scores
+        return np.abs(s2 - self.ratio * s3)
 
 
-_RULE_CACHE: dict[int, object] = {}
-
-
+@functools.cache
 def _rule_for(ndim: int):
-    if ndim not in _RULE_CACHE:
-        _RULE_CACHE[ndim] = (
-            _TensorGaussKronrod(ndim) if ndim <= 2 else _GenzMalik(ndim)
-        )
-    return _RULE_CACHE[ndim]
+    return _TensorGaussKronrod(ndim) if ndim <= 2 else _GenzMalik(ndim)
 
 
 # ---------------------------------------------------------------------------
 # Adaptive driver
 # ---------------------------------------------------------------------------
-
-
-class _VectorizedF:
-    """Call wrapper returning values of ``shape`` for coordinate arrays of
-    ``shape`` (scalar integrand), or ``(B, *shape)`` for a batch of ``B``.
-
-    The first call fixes the kind.  A callable that rejects arrays there
-    (``TypeError`` or ``ValueError``) falls back to a scalar loop for good;
-    an error on any later call propagates.  An output that is neither
-    ``shape`` nor ``(B, *shape)`` raises ``ValueError``, as does a batch
-    when ``allow_rows`` is false.
-    """
-
-    def __init__(self, f: Callable, allow_rows: bool = True):
-        self.f = f
-        self.allow_rows = allow_rows
-        self.scalar = False
-        self.rows: int | None = None  # None: row-free (scalar) integrand
-        self.neval = 0
-
-    def __call__(self, axes: list[np.ndarray]) -> np.ndarray:
-        first = self.neval == 0
-        self.neval += axes[0].size
-        shape = axes[0].shape
-        if not self.scalar:
-            try:
-                out = np.asarray(self.f(*axes), dtype=float)
-            except (TypeError, ValueError):
-                if not first:
-                    raise
-                self.scalar = True
-            else:
-                if first and self.allow_rows and out.ndim == len(shape) + 1:
-                    self.rows = out.shape[0]
-                want = shape if self.rows is None else (self.rows,) + shape
-                if out.shape != want:
-                    raise ValueError(
-                        f"integrand returned shape {out.shape} for abscissae of "
-                        f"shape {shape}; expected {want}"
-                        + ("" if self.allow_rows else " (no batches on this domain)")
-                    )
-                return out
-        flat = [np.ravel(ax) for ax in axes]
-        out = np.fromiter(
-            (float(self.f(*pt)) for pt in zip(*flat)),
-            dtype=float,
-            count=flat[0].size,
-        )
-        return out.reshape(shape)
 
 
 def _initial_boxes(box: Sequence[Interval], splits: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -378,9 +309,12 @@ def _initial_boxes(box: Sequence[Interval], splits: Sequence[int]) -> tuple[np.n
     return lo, hi
 
 
-def _evaluate(fv: _VectorizedF, rule, lo: np.ndarray, hi: np.ndarray):
-    """Per-row panel values and errors, shape (rows, nbox), and the split
-    indicators, shape (nbox, d), taken as the largest over the rows."""
+def _evaluate(f: Callable, rule, lo: np.ndarray, hi: np.ndarray,
+              rows: int | None, first: bool = False):
+    """Per-row panel values and errors, shape (rows, nbox), the split
+    indicators, shape (nbox, d), taken as the largest over the rows, and
+    ``rows``: None for a scalar integrand, else the batch size B, which the
+    ``first`` evaluation reads from the output's shape."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     # points: (nbox, npts) per axis
@@ -388,15 +322,26 @@ def _evaluate(fv: _VectorizedF, rule, lo: np.ndarray, hi: np.ndarray):
         center[:, k][:, None] + half[:, k][:, None] * rule.nodes[:, k][None, :]
         for k in range(lo.shape[1])
     ]
-    vals = fv(coords)
+    shape = coords[0].shape
+    vals = np.asarray(f(*coords), dtype=float)
+    if first and vals.ndim == len(shape) + 1:
+        rows = vals.shape[0]
+    want = shape if rows is None else (rows,) + shape
+    if vals.shape != want:
+        raise ValueError(f"integrand returned shape {vals.shape} for abscissae of "
+                         f"shape {shape}; expected {want}")
     if not np.isfinite(vals).all():
         raise NonFiniteIntegrand("integrand returned a non-finite value")
     value, err, scores = rule.apply(vals, half)
-    if fv.rows is None:  # the one-row case of a batch
-        return value[None], err[None], scores
-    return value, err, scores.max(axis=0)
+    if rows is None:  # the one-row case of a batch
+        return value[None], err[None], scores, rows
+    return value, err, scores.max(axis=0), rows
 
 
+# Largest abscissa array an initial panelization may ask for (128 MiB of
+# floats per row; a 4-D Wigner cubature peaks near 1.2 GB there); a larger
+# one fails at once instead of exhausting memory.
+_MAX_ABSCISSAE = 2 ** 24
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
@@ -419,9 +364,13 @@ def _adapt(
     initial_splits: Sequence[int],
 ) -> QuadratureResult:
     rule = _rule_for(len(box))
-    fv = f if isinstance(f, _VectorizedF) else _VectorizedF(f)
+    n_initial = math.prod(initial_splits)
+    if n_initial * rule.npts > _MAX_ABSCISSAE:
+        raise ValueError(f"initial_splits={list(initial_splits)} need {n_initial} boxes x "
+                         f"{rule.npts} abscissae, over the cap of {_MAX_ABSCISSAE}")
     lo, hi = _initial_boxes(box, initial_splits)
-    values, errs, scores = _evaluate(fv, rule, lo, hi)  # (rows, nbox) x2, (nbox, d)
+    # values, errs: (rows, nbox); scores: (nbox, d)
+    values, errs, scores, rows = _evaluate(f, rule, lo, hi, None, first=True)
     subdivisions = 0
 
     while True:
@@ -444,29 +393,23 @@ def _adapt(
             priority = err_a[0]
         widths = hi - lo
         split_axis = np.argmax(scores, axis=1)
-        splittable = (
-            np.take_along_axis(widths, split_axis[:, None], axis=1).ravel()
-            > 2.0 * spec.min_panel_width
-        )
+        splittable = np.take_along_axis(widths, split_axis[:, None], axis=1).ravel() > 0.0
         order = np.lexsort((np.arange(len(priority)), -priority))
         order = order[splittable[order]]
+        if not len(order):
+            raise _stalled("tolerance not met and no panel is splittable",
+                           err_totals, tols, rows is not None)
         # Split the smallest prefix of worst boxes whose removal would pull
         # every unconverged row's remaining error comfortably under its
         # tolerance.
-        if len(order):
-            err_tot_a = np.array([err_totals[i] for i in act])
-            remaining = err_tot_a[:, None] - np.cumsum(err_a[:, order], axis=1)
-            need = (remaining > 0.45 * tol_a[:, None]).sum(axis=1) + 1
-            count = max(1, min(int(need.max()), len(order)))
-        else:
-            count = 0
-        if count == 0:
-            raise _stalled("tolerance not met and no panel is splittable",
-                           err_totals, tols, fv.rows is not None)
+        err_tot_a = np.array([err_totals[i] for i in act])
+        remaining = err_tot_a[:, None] - np.cumsum(err_a[:, order], axis=1)
+        need = (remaining > 0.45 * tol_a[:, None]).sum(axis=1) + 1
+        count = max(1, min(int(need.max()), len(order)))
         budget = spec.max_subdivisions - subdivisions
         if budget <= 0:
             raise _stalled(f"max_subdivisions={spec.max_subdivisions} exhausted",
-                           err_totals, tols, fv.rows is not None)
+                           err_totals, tols, rows is not None)
         picked = order[: min(count, budget)]
         subdivisions += len(picked)
 
@@ -482,24 +425,24 @@ def _adapt(
 
         keep = np.ones(len(priority), dtype=bool)
         keep[picked] = False
-        new_lo = np.concatenate([lo[keep], lo_l, lo_r])
-        new_hi = np.concatenate([hi[keep], hi_l, hi_r])
-        v_new, e_new, s_new = _evaluate(
-            fv, rule, np.concatenate([lo_l, lo_r]), np.concatenate([hi_l, hi_r])
+        v_new, e_new, s_new, _ = _evaluate(
+            f, rule, np.concatenate([lo_l, lo_r]), np.concatenate([hi_l, hi_r]), rows
         )
         values = np.concatenate([values[:, keep], v_new], axis=1)
         errs = np.concatenate([errs[:, keep], e_new], axis=1)
         scores = np.concatenate([scores[keep], s_new])
-        lo, hi = new_lo, new_hi
+        lo = np.concatenate([lo[keep], lo_l, lo_r])
+        hi = np.concatenate([hi[keep], hi_l, hi_r])
 
     # Rounding floor of the reported bound (QUADPACK's 50 eps per unit of
     # integrated magnitude): on panels fine enough for a batch's fastest
     # row, the K15-G7 differences of its smooth rows fall below the
     # floating-point resolution of their sums.
     err_est = np.array(err_totals) + _ROUNDOFF * np.abs(values).sum(axis=1)
-    if fv.rows is None:
-        return QuadratureResult(totals[0], float(err_est[0]), fv.neval, subdivisions)
-    return QuadratureResult(np.array(totals), err_est, fv.neval, subdivisions)
+    neval = rule.npts * (n_initial + 2 * subdivisions)
+    if rows is None:
+        return QuadratureResult(totals[0], float(err_est[0]), neval, subdivisions)
+    return QuadratureResult(np.array(totals), err_est, neval, subdivisions)
 
 
 # ---------------------------------------------------------------------------
@@ -514,22 +457,17 @@ def integrate_1d(
     *,
     initial_panels: int = 1,
 ) -> QuadratureResult:
-    """Adaptively integrate ``f`` over a finite or semi-infinite interval.
+    """Adaptively integrate ``f`` over a finite interval.
 
     Parameters
     ----------
     f : callable
-        Integrand, finite on the domain interior.  Preferably vectorized:
-        called with an ndarray ``x`` it returns an array of ``x.shape``, or,
-        on a finite domain, a batch of shape ``(B, *x.shape)`` holding B
-        integrands that share one panel set.  Scalar callables that reject
-        arrays on the first call are wrapped in a loop; any other output
-        shape raises ``ValueError``.  For an infinite upper bound ``f``
-        must be scalar and decay at least exponentially; the engine extends
-        the domain in doubling windows until the running tail contribution
-        is negligible.
+        Vectorized integrand, finite on the domain: called with an ndarray
+        ``x`` it returns an array of ``x.shape``, or a batch of shape
+        ``(B, *x.shape)`` holding B integrands that share one panel set.
+        Any other output shape raises ``ValueError``.
     domain : Interval
-        Integration interval; ``hi`` may be ``math.inf``.
+        Integration interval.
     spec : QuadratureSpec, optional
         Tolerances; defaults to ``DEFAULT_SPEC_1D``.  Each row of a batch
         must meet ``err_i <= max(abs_tol, rel_tol * |value_i|)`` on its own.
@@ -551,40 +489,10 @@ def integrate_1d(
     NonFiniteIntegrand
         ``f`` produced NaN or infinity.
     ValueError
-        ``f`` returned an array of the wrong shape, or a batch on a
-        semi-infinite domain.
+        ``f`` returned an array of the wrong shape, or the initial panels
+        would need more than 2**24 abscissae.
     """
-    spec = spec or DEFAULT_SPEC_1D
-    if not domain.infinite:
-        return _adapt(f, [domain], spec, [max(1, initial_panels)])
-
-    fv = _VectorizedF(f, allow_rows=False)
-    acc: list[QuadratureResult] = []
-    lo = domain.lo
-    width = 16.0
-    calm = 0
-    total = 0.0
-    for _ in range(60):
-        seg = _adapt(fv, [Interval(lo, lo + width)], spec, [max(1, initial_panels)])
-        acc.append(seg)
-        total = math.fsum(r.value for r in acc)
-        lo += width
-        width *= 2.0
-        thresh = max(spec.abs_tol, spec.rel_tol * abs(total)) / 8.0
-        calm = calm + 1 if abs(seg.value) <= thresh else 0
-        if calm >= 2:
-            break
-    else:
-        raise NonConvergence(
-            "semi-infinite tail still contributing after 60 doubling windows; "
-            "integrand does not appear to decay"
-        )
-    return QuadratureResult(
-        value=total,
-        err_est=math.fsum(r.err_est for r in acc) + abs(acc[-1].value),
-        neval=fv.neval,
-        subdivisions=sum(r.subdivisions for r in acc),
-    )
+    return _adapt(f, [domain], spec or DEFAULT_SPEC_1D, [max(1, initial_panels)])
 
 
 def integrate_nd(
@@ -601,14 +509,12 @@ def integrate_nd(
     :func:`integrate_1d`.  ``initial_splits``
     pre-panelizes each axis (oscillation safeguard); refinement then
     proceeds adaptively.  The result is deterministic and independent of
-    evaluation order.
+    evaluation order.  Splits that would need more than 2**24 abscissae
+    in one evaluation raise ``ValueError`` before ``f`` is called.
     """
     ndim = len(box)
     if ndim not in (2, 4):
         raise UnsupportedDimension(f"integrate_nd supports 2-D and 4-D, got {ndim}-D")
-    for iv in box:
-        if iv.infinite:
-            raise ValueError("integrate_nd requires finite intervals")
     if spec is None:
         spec = DEFAULT_SPEC_2D if ndim == 2 else DEFAULT_SPEC_4D
     if initial_splits is None:

@@ -295,8 +295,6 @@ def _cat_closed_batch(
         raise UnsupportedVariant(
             f"event_density_cat_closed expects a cat state, got {state.variant}"
         )
-    if not kins:
-        return []
     spec = cfg.quad or DEFAULT_SPEC_1D
     sp = state.sigma_perp
     sign = state.parity

@@ -338,18 +338,16 @@ def phase_space_panels(state: BeamState, box: Sequence[Interval]) -> list[int]:
     ]
 
 
-def wigner_slice(
-    state: BeamState, n: int, u_box: Interval | None = None, p_box: Interval | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def wigner_slice(state: BeamState, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """W on an ``n x n`` grid of the (u, p_u) plane along the separation axis.
 
     The transverse coordinates are held at zero (the plotting convention
-    ``y = p_y = 0`` when ``r0`` lies along x).  The boxes default to
-    ``+/-(4 sigma + r0)`` and ``+/-4 / sigma``.  Returns ``(U, PU, W)``,
-    indexed ``[u, p_u]``.
+    ``y = p_y = 0`` when ``r0`` lies along x).  The grid spans
+    ``+/-(4 sigma + r0)`` in u and ``+/-4 / sigma`` in p_u, the
+    :func:`phase_space_box` with ``n_r = n_p = 4``.  Returns
+    ``(U, PU, W)``, indexed ``[u, p_u]``.
     """
-    du, _, dp, _ = phase_space_box(state.widths, (state.r0, 0.0), 4.0, 4.0)
-    u_box, p_box = u_box or du, p_box or dp
+    u_box, _, p_box, _ = phase_space_box(state.widths, (state.r0, 0.0), 4.0, 4.0)
     ex, ey = math.cos(state.phi_r0), math.sin(state.phi_r0)
     U, PU = np.meshgrid(phase_space_grid(u_box.lo, u_box.hi, n),
                         phase_space_grid(p_box.lo, p_box.hi, n), indexing="ij")
@@ -357,11 +355,7 @@ def wigner_slice(
 
 
 def negativity_scan(
-    state: BeamState,
-    r_box: tuple[Interval, Interval] | None = None,
-    p_box: tuple[Interval, Interval] | None = None,
-    grid_n: int | None = None,
-    mode: str = "slice",
+    state: BeamState, *, grid_n: int | None = None, mode: str = "slice"
 ) -> NegativityScan:
     """Exhaustive grid scan for Wigner-function negativity.
 
@@ -371,10 +365,10 @@ def negativity_scan(
     scans the whole 4-D box.  ``negative_volume_fraction`` is the fraction
     of grid cells with W < 0; ``min_value`` is the raw grid minimum.
 
-    The boxes must cover at least ``+/-4 sigma`` in position and
-    ``+/-4/sigma`` in momentum; defaults extend the position box by ``r0``
-    so both packets are inside.  The slice's default box is measured along
-    the separation axis, so a round beam scans the same plane for every
+    Both modes scan the :func:`phase_space_box` with ``n_r = n_p = 4``:
+    ``+/-(4 sigma + |r0|)`` in position, so both packets are inside, and
+    ``+/-4/sigma`` in momentum.  The slice's box is measured along the
+    separation axis, so a round beam scans the same plane for every
     ``phi_r0``.
     """
     if mode not in ("slice", "full"):
@@ -383,22 +377,13 @@ def negativity_scan(
         grid_n = 128 if mode == "slice" else 32
     if grid_n < 16:
         raise ValueError("grid_n must be >= 16")
-    sx, sy = state.widths
-    for boxes, needs, label in ((r_box, (4.0 * sx, 4.0 * sy), "r_box"),
-                                (p_box, (4.0 / sx, 4.0 / sy), "p_box")):
-        for j, (iv, need) in enumerate(zip(boxes or (), needs)):
-            if iv.lo > -need or iv.hi < need:
-                raise ValueError(f"{label}[{j}] must cover at least +/-{need:g}")
-
     if mode == "slice":
-        U, PU, w = wigner_slice(state, grid_n, r_box and r_box[0], p_box and p_box[0])
+        U, PU, w = wigner_slice(state, grid_n)
         ex, ey = math.cos(state.phi_r0), math.sin(state.phi_r0)
         coords = (U * ex, U * ey, PU * ex, PU * ey)
     else:
-        boxes = phase_space_box(state.widths, state.r0_vec, 4.0, 4.0)
-        bx, by = r_box or boxes[:2]
-        bpx, bpy = p_box or boxes[2:]
-        grids = (phase_space_grid(iv.lo, iv.hi, grid_n) for iv in (bx, by, bpx, bpy))
+        box = phase_space_box(state.widths, state.r0_vec, 4.0, 4.0)
+        grids = (phase_space_grid(iv.lo, iv.hi, grid_n) for iv in box)
         coords = np.meshgrid(*grids, indexing="ij")
         w = wigner_values(state, *coords)
     flat = int(np.argmin(w))

@@ -1,0 +1,93 @@
+"""The benchmark harness reaches catscatter through names; they must exist.
+
+``bench/tracing.py`` wraps and counts functions by name, and
+``bench/workloads.py`` calls them as module attributes.  A name deleted
+from the library would only surface in a traced benchmark run, so this
+test reads both files (without importing or changing them) and checks
+every such name against the library.
+"""
+
+import ast
+import importlib
+import pathlib
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+MODULES = ("analysis", "cli", "errors", "quadrature", "scattering", "states", "targets")
+
+
+def _tree(name):
+    return ast.parse((BENCH / name).read_text(encoding="utf-8"))
+
+
+def _constant(tree, name):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} is not assigned in the module")
+
+
+def _module(short):
+    return importlib.import_module(f"catscatter.{short}")
+
+
+def _strings(node):
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return [s for elt in node.elts for s in _strings(elt)]
+    return []
+
+
+def test_tracer_wraps_existing_functions():
+    tree = _tree("tracing.py")
+    for short in _constant(tree, "CALLER_MODULES"):
+        _module(short)
+    for short, names in _constant(tree, "OWN_PUBLIC").items():
+        for name in names:
+            assert callable(getattr(_module(short), name, None)), f"{short}.{name}"
+    for name in _constant(tree, "DNU_ROUTES"):
+        assert callable(getattr(_module("scattering"), name, None)), f"scattering.{name}"
+
+
+def test_span_names_the_tracer_counts_exist():
+    # Every literal compared with a span's name (``name == "..."``,
+    # ``s.name in (...)``) must name a function of some catscatter module.
+    names = set()
+    for node in ast.walk(_tree("tracing.py")):
+        if isinstance(node, ast.Compare):
+            left = node.left
+            if (isinstance(left, ast.Name) and left.id == "name") or (
+                    isinstance(left, ast.Attribute) and left.attr == "name"):
+                for comp in node.comparators:
+                    names.update(_strings(comp))
+    assert {"integrate_1d", "integrate_nd", "wigner_values"} <= names
+    for name in sorted(names):
+        assert any(callable(getattr(_module(m), name, None)) for m in MODULES), name
+
+
+def _aliases(tree):
+    """``import catscatter.X as Y`` -> {Y: X}."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("catscatter.") and alias.asname:
+                    out[alias.asname] = alias.name.split(".", 1)[1]
+    return out
+
+
+def test_workloads_use_existing_attributes():
+    tree = _tree("workloads.py")
+    aliases = _aliases(tree)
+    assert {"an", "cli", "sc", "st"} <= set(aliases)
+    used = {(aliases[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in aliases}
+    used |= {(node.module.split(".", 1)[1], alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("catscatter.")
+             for alias in node.names}
+    assert ("analysis", "azimuthal_asymmetry") in used
+    assert ("quadrature", "DEFAULT_SPEC_4D") in used
+    for short, attr in sorted(used):
+        assert hasattr(_module(short), attr), f"{short}.{attr}"

@@ -203,6 +203,29 @@ def test_input_errors_exit_one(tmp_path):
     assert run_cli("--config", str(tmp_path / "missing.json"))[0] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["scatter", "--tol", "0"],
+    ["scatter", "--phi-grid", "0"],
+    ["scatter", "--phi-grid", "-2"],
+    ["wigner", "--grid", "-4"],
+    ["wigner", "--grid", "0"],
+    ["asymmetry", "--phi-grid", "-5"],
+])
+def test_non_positive_numbers_exit_one(argv, tmp_path):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("input error:")
+    # The same values read back from a sidecar are rejected the same way.
+    cfg = RunConfig(subcommand=argv[0])
+    field = {"--tol": "tol", "--phi-grid": "phi_grid", "--grid": "grid"}[argv[1]]
+    setattr(cfg, field, float(argv[2]) if field == "tol" else int(argv[2]))
+    sidecar = tmp_path / "bad.config.json"
+    sidecar.write_text(cfg.to_json())
+    code, out, err = run_cli("--config", str(sidecar))
+    assert (code, out) == (1, "")
+    assert err.startswith("input error:")
+
+
 def test_odd_cat_invalid_separation_exits_one():
     code, _, err = run_cli("wigner", "--state", "odd-cat", "--sigma-perp", "2",
                            "--r0", "0.0001")
