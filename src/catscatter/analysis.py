@@ -53,7 +53,6 @@ class AsymmetrySpec:
     phi_grid_n: int = 64
     metric: str = "para_perp"
     method: str = "auto"
-    a: float = 1.0
     amplitude: Callable | None = None
 
     def __post_init__(self) -> None:
@@ -114,8 +113,7 @@ def azimuthal_asymmetry(spec: AsymmetrySpec) -> AsymmetryResult:
     """
     phis = _phi_grid(spec)
     kins = [spec.kin_base.with_phi(float(p)) for p in phis]
-    eds = event_densities(spec.cfg, kins, method=spec.method,
-                          amplitude=spec.amplitude, a=spec.a)
+    eds = event_densities(spec.cfg, kins, method=spec.method, amplitude=spec.amplitude)
     scan = tuple((float(p), ed.value) for p, ed in zip(phis, eds))
     if spec.metric == "para_perp":
         a_val = _para_perp(scan[0][1], scan[len(scan) // 4][1])
@@ -150,8 +148,6 @@ def _spec_at(spec: AsymmetrySpec, axis: str, value: float,
     elif axis == "p_i":
         st = replace(st, p_i=value)
         kin = Kinematics(value, value, kin.theta, kin.phi)
-    else:
-        raise ValueError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
     return replace(spec, cfg=replace(spec.cfg, state=st), kin_base=kin)
 
 
@@ -262,7 +258,6 @@ def peak_theta(
     theta_grid: Sequence[float] | None = None,
     profile: str = "auto",
     method: str = "auto",
-    a: float = 1.0,
 ) -> PeakResult:
     """Peak of the polar-angle profile at the separation azimuth.
 
@@ -292,7 +287,7 @@ def peak_theta(
     vals = np.empty_like(th)
     for k, theta in enumerate(th):
         eds = event_densities(cfg, [Kinematics(p_i, p_i, float(theta), phi) for phi in phis],
-                              method=method, a=a)
+                              method=method)
         vals[k] = (math.sin(theta) * eds[0].value if profile == "rate"
                    else abs(_para_perp(eds[0].value, eds[1].value)))
     return find_peak(th, vals)

@@ -38,14 +38,12 @@ from .scattering import (
     validity_check,
 )
 from .states import (
+    WIGNER_GRID_N,
     BeamState,
     PhasePoint,
     momentum_from_keV,
-    phase_space_box,
-    phase_space_grid,
+    wigner_grid,
     wigner_normalization,
-    wigner_slice,
-    wigner_values,
 )
 from .targets import Kinematics, TargetProfile
 
@@ -97,9 +95,24 @@ def parse_grid(text: str, what: str) -> list[float]:
     raise _InputError(f"--{what}: expected 'A' or 'A:B:N', got {text!r}")
 
 
+def _parse_values(text: str) -> list[float]:
+    """'V1,V2,...' -> [V1, V2, ...]; empty items are skipped."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise _InputError(f"--values: expected comma-separated floats, got {text!r}") from None
+    if not values:
+        raise _InputError("--values: empty list")
+    return values
+
+
 @dataclass
 class RunConfig:
-    """Fully resolved run description; the sidecar serializes this."""
+    """Fully resolved run description; the sidecar serializes this.
+
+    Its defaults are the CLI's, and building it runs the checks that flags
+    and sidecars share.
+    """
 
     subcommand: str
     state: str = "gaussian"
@@ -114,7 +127,7 @@ class RunConfig:
     sigma_t: float | None = None
     b0x: float = 0.0
     b0y: float = 0.0
-    wide: bool = True
+    wide: bool = False
     theta_deg: list[float] = field(default_factory=lambda: [10.0])
     phi_deg: list[float] | None = None
     phi_grid: int = 16
@@ -122,7 +135,7 @@ class RunConfig:
     method: str = "auto"
     tol: float | None = None
     ne: int = 1
-    grid: int = 128
+    grid: int | None = None
     mode: str = "slice"
     axis: str | None = None
     values: list[float] | None = None
@@ -130,6 +143,16 @@ class RunConfig:
     out: str | None = None
     format: str = "csv"
     version: str = __version__
+
+    def __post_init__(self) -> None:
+        self.wide = self.wide or self.sigma_t is None
+        if self.grid is None:
+            self.grid = WIGNER_GRID_N[self.mode]
+        if self.tol is not None and not self.tol > 0:
+            raise _InputError(f"--tol must be > 0, got {self.tol!r}")
+        for flag, n in (("--phi-grid", self.phi_grid), ("--grid", self.grid)):
+            if n < 1:
+                raise _InputError(f"{flag} must be >= 1, got {n!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -145,32 +168,35 @@ class RunConfig:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--state", choices=_STATE_CHOICES, default="gaussian")
-    p.add_argument("--sigma-perp", type=float, default=2.0, metavar="F")
+    # Each dest but ev is a RunConfig field; an unset flag leaves its default.
+    p.add_argument("--state", choices=_STATE_CHOICES)
+    p.add_argument("--sigma-perp", type=float, metavar="F")
     p.add_argument("--sigma-x", type=float, metavar="F")
     p.add_argument("--sigma-y", type=float, metavar="F")
-    p.add_argument("--r0", type=float, default=0.0, metavar="F",
+    p.add_argument("--r0", type=float, metavar="F",
                    help="half the packet separation [a]")
-    p.add_argument("--phi-r0", type=float, default=0.0, metavar="DEG")
-    p.add_argument("--sigma-z", type=float, default=10.0, metavar="F")
-    p.add_argument("--pi", dest="p_i", type=float, default=10.0, metavar="F")
+    p.add_argument("--phi-r0", dest="phi_r0_deg", type=float, metavar="DEG")
+    p.add_argument("--sigma-z", type=float, metavar="F")
+    p.add_argument("--pi", dest="p_i", type=float, metavar="F")
     p.add_argument("--pf", dest="p_f", type=float, metavar="F")
     p.add_argument("--ev", type=float, metavar="KEV",
                    help="kinetic energy in keV (overrides --pi)")
     p.add_argument("--sigma-t", type=float, metavar="F")
-    p.add_argument("--b0x", type=float, default=0.0, metavar="F")
-    p.add_argument("--b0y", type=float, default=0.0, metavar="F")
+    p.add_argument("--b0x", type=float, metavar="F")
+    p.add_argument("--b0y", type=float, metavar="F")
     p.add_argument("--wide", action="store_true",
                    help="analytic wide-target limit (reports cross sections)")
-    p.add_argument("--theta", default="10", metavar="A[:B:N]")
-    p.add_argument("--phi", metavar="A[:B:N]")
-    p.add_argument("--phi-grid", type=int, default=16, metavar="N")
-    p.add_argument("--metric", choices=("para-perp", "minmax"), default="para-perp")
-    p.add_argument("--method", choices=tuple(_METHOD_BY_FLAG), default="auto")
+    p.add_argument("--theta", dest="theta_deg", type=lambda t: parse_grid(t, "theta"),
+                   metavar="A[:B:N]")
+    p.add_argument("--phi", dest="phi_deg", type=lambda t: parse_grid(t, "phi"),
+                   metavar="A[:B:N]")
+    p.add_argument("--phi-grid", type=int, metavar="N")
+    p.add_argument("--metric", choices=("para-perp", "minmax"))
+    p.add_argument("--method", choices=tuple(_METHOD_BY_FLAG))
     p.add_argument("--tol", type=float, metavar="F")
-    p.add_argument("--ne", type=int, default=1, metavar="N")
+    p.add_argument("--ne", type=int, metavar="N")
     p.add_argument("--out", metavar="PATH")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"))
 
 
 def _build_parser() -> _Parser:
@@ -185,65 +211,28 @@ def _build_parser() -> _Parser:
         ("sweep", "asymmetry sweep along one parameter axis"),
         ("validate", "oracle cross-checks and validity report"),
     ):
-        sp = sub.add_parser(name, help=doc)
+        sp = sub.add_parser(name, help=doc, argument_default=argparse.SUPPRESS)
         _add_common(sp)
         if name == "wigner":
-            sp.add_argument("--grid", type=int, metavar="N",
-                            help="points per axis (default 128 slice, 32 full)")
-            sp.add_argument("--mode", choices=("slice", "full"), default="slice")
+            sp.add_argument("--grid", type=int, metavar="N", help="points per axis "
+                            "(default %(slice)d slice, %(full)d full)" % WIGNER_GRID_N)
+            sp.add_argument("--mode", choices=tuple(WIGNER_GRID_N))
         if name == "sweep":
             sp.add_argument("--axis", choices=("r0", "sigma-perp", "theta", "pi"),
                             required=True)
-            sp.add_argument("--values", required=True, metavar="V1,V2,...")
+            sp.add_argument("--values", type=_parse_values, required=True,
+                            metavar="V1,V2,...")
             sp.add_argument("--r0-ratio", type=float, metavar="F",
                             help="hold r0 = ratio * sigma_perp on sigma-perp sweeps")
     return top
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    cfg.state = args.state
-    cfg.sigma_perp = args.sigma_perp
-    cfg.sigma_x, cfg.sigma_y = args.sigma_x, args.sigma_y
-    cfg.r0 = args.r0
-    cfg.phi_r0_deg = args.phi_r0
-    cfg.sigma_z = args.sigma_z
-    cfg.p_i = momentum_from_keV(args.ev) if args.ev is not None else args.p_i
-    cfg.p_f = args.p_f
-    cfg.sigma_t = args.sigma_t
-    cfg.b0x, cfg.b0y = args.b0x, args.b0y
-    cfg.wide = bool(args.wide or args.sigma_t is None)
-    cfg.theta_deg = parse_grid(args.theta, "theta")
-    cfg.phi_deg = parse_grid(args.phi, "phi") if args.phi else None
-    cfg.phi_grid = args.phi_grid
-    cfg.metric = args.metric
-    cfg.method = args.method
-    cfg.tol = args.tol
-    cfg.ne = args.ne
-    cfg.out = args.out
-    cfg.format = args.format
-    if args.subcommand == "wigner":
-        cfg.mode = args.mode
-        cfg.grid = args.grid if args.grid is not None else (128 if cfg.mode == "slice" else 32)
-    if args.subcommand == "sweep":
-        cfg.axis = args.axis
-        try:
-            cfg.values = [float(v) for v in args.values.split(",") if v.strip()]
-        except ValueError:
-            raise _InputError(f"--values: expected comma-separated floats, got {args.values!r}")
-        if not cfg.values:
-            raise _InputError("--values: empty list")
-        cfg.r0_ratio = args.r0_ratio
-    return cfg
-
-
-def _check_counts(cfg: RunConfig) -> None:
-    """Reject a non-positive tolerance or grid size, from flags or a sidecar."""
-    if cfg.tol is not None and not cfg.tol > 0:
-        raise _InputError(f"--tol must be > 0, got {cfg.tol!r}")
-    for flag, n in (("--phi-grid", cfg.phi_grid), ("--grid", cfg.grid)):
-        if n < 1:
-            raise _InputError(f"{flag} must be >= 1, got {n!r}")
+    given = vars(args)
+    del given["config"]
+    if "ev" in given:
+        given["p_i"] = momentum_from_keV(given.pop("ev"))
+    return RunConfig(**given)
 
 
 def build_state(cfg: RunConfig) -> BeamState:
@@ -266,8 +255,9 @@ def build_target(cfg: RunConfig) -> TargetProfile:
     return TargetProfile.gaussian(cfg.sigma_t, (cfg.b0x, cfg.b0y))
 
 
-def _quad_spec(cfg: RunConfig) -> QuadratureSpec | None:
-    return QuadratureSpec(rel_tol=cfg.tol) if cfg.tol is not None else None
+def _scattering_config(cfg: RunConfig) -> ScatteringConfig:
+    quad = QuadratureSpec(rel_tol=cfg.tol) if cfg.tol is not None else None
+    return ScatteringConfig(build_state(cfg), build_target(cfg), n_e=cfg.ne, quad=quad)
 
 
 def _kin(cfg: RunConfig, theta_deg: float, phi_deg: float) -> Kinematics:
@@ -287,42 +277,32 @@ def _phis(cfg: RunConfig) -> list[float]:
 
 
 def _run_wigner(cfg: RunConfig):
-    state = build_state(cfg)
-    if cfg.mode == "slice":
-        header, cols = ["x", "px", "w"], wigner_slice(state, cfg.grid)
-    else:
-        box = phase_space_box(state.widths, state.r0_vec, 4.0, 4.0)
-        grids = (phase_space_grid(iv.lo, iv.hi, cfg.grid) for iv in box)
-        X, Y, PX, PY = np.meshgrid(*grids, indexing="ij")
-        W = wigner_values(state, X, Y, PX, PY)
-        header, cols = ["x", "y", "px", "py", "w"], (X, Y, PX, PY, W)
+    cols = wigner_grid(build_state(cfg), cfg.grid, cfg.mode)
+    header = ["x", "px", "w"] if cfg.mode == "slice" else ["x", "y", "px", "py", "w"]
     rows = [tuple(float(v) for v in vals) for vals in zip(*(c.ravel() for c in cols))]
     return header, rows, None
 
 
 def _run_scatter(cfg: RunConfig):
-    state, target = build_state(cfg), build_target(cfg)
-    sc = ScatteringConfig(state=state, target=target, n_e=cfg.ne, quad=_quad_spec(cfg))
     method = _METHOD_BY_FLAG[cfg.method]
     grid = [(th, ph) for th in cfg.theta_deg for ph in _phis(cfg)]
-    eds = event_densities(sc, [_kin(cfg, th, ph) for th, ph in grid], method=method)
+    eds = event_densities(_scattering_config(cfg), [_kin(cfg, th, ph) for th, ph in grid],
+                          method=method)
     rows = []
     for (th, ph), ed in zip(grid, eds):
         if ed.wide_limit:
             dnu, dsig = math.nan, ed.value
         else:
             dnu = ed.value
-            dsig = cross_section(ed, cfg.ne) if ed.sigma_sq is not None else math.nan
+            dsig = cross_section(ed) if ed.sigma_sq is not None else math.nan
         rows.append((th, ph, dnu, dsig, ed.err_est, ed.method))
     return ["theta_deg", "phi_deg", "dnu", "dsigma", "err_est", "method"], rows, None
 
 
 def _asym_spec(cfg: RunConfig, theta_deg: float) -> AsymmetrySpec:
-    state, target = build_state(cfg), build_target(cfg)
-    sc = ScatteringConfig(state=state, target=target, n_e=cfg.ne, quad=_quad_spec(cfg))
     return AsymmetrySpec(
-        cfg=sc, kin_base=_kin(cfg, theta_deg, cfg.phi_r0_deg),
-        phi_grid_n=max(8, cfg.phi_grid),
+        cfg=_scattering_config(cfg), kin_base=_kin(cfg, theta_deg, cfg.phi_r0_deg),
+        phi_grid_n=cfg.phi_grid,
         metric=cfg.metric.replace("-", "_"),
         method=_METHOD_BY_FLAG[cfg.method],
     )
@@ -490,7 +470,6 @@ def run(argv: Sequence[str]) -> int:
             cfg = _resolve(args)
         else:
             raise _InputError("a subcommand or --config is required")
-        _check_counts(cfg)
 
         if cfg.subcommand == "validate":
             lines, ok = _run_validate(cfg)

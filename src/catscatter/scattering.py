@@ -21,12 +21,12 @@ provided:
   is also done analytically via a Schwinger parameterization, leaving a
   single exponentially damped 1-D integral
 
-      int_0^inf dx e^{-x g(x)} (x + x^2 + x^3/6) / (1 + x a^2/(8 s^2))
+      int_0^inf dx e^{-x g(x)} (x + x^2 + x^3/6) / h(x)
           * [ displaced-packet weight
               +/- cos(2 r0.pf * fringe_scale(x)) * exp(-r0^2/(2 s^2 h(x))) ]
 
-  with h(x) = 1 + x a^2/(8 s^2), fringe_scale = (h-1)/h, and
-  g(x) = 1 + (a/2)^2 (Qz^2 + Qperp^2 / h(x)) >= 1 for all kinematics.
+  with h(x) = 1 + x/(8 s^2), fringe_scale = (h-1)/h, and
+  g(x) = 1 + (Qz^2 + Qperp^2 / h(x)) / 4 >= 1 for all kinematics.
 
   ``event_densities`` evaluates a whole list of kinematics (a phi scan, a
   theta x phi grid) as one vector-valued integral on a shared panel set.
@@ -48,7 +48,8 @@ is reported directly as the effective cross section
 ``d sigma / d Omega = 2 pi Sigma^2 / N_e * d nu / d Omega`` (finite in the
 limit), flagged by ``EventDensity.wide_limit``.
 
-All computation is in Hartree atomic units.  Everything here is pure and
+All computation is in Hartree atomic units, so the Bohr radius a = 1 is
+the unit of length and no function takes it.  Everything here is pure and
 reentrant: event densities for many kinematics may be evaluated
 concurrently.
 """
@@ -57,7 +58,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -173,7 +173,7 @@ def _target_weights(state: BeamState, target: TargetProfile):
 
 
 def _momentum_density(
-    cfg: ScatteringConfig, kin: Kinematics, amplitude: Callable | None, a: float
+    cfg: ScatteringConfig, kin: Kinematics, amplitude: Callable | None
 ) -> EventDensity:
     """d nu / d Omega = pref (bw I_1 + sign off I_cos) / (1 + sign overlap) with
 
@@ -185,7 +185,7 @@ def _momentum_density(
     only for the cats (sign = parity != 0).
     """
     state, target = cfg.state, cfg.target
-    amplitude = amplitude or partial(hydrogen_amplitude, a=a)
+    amplitude = amplitude or hydrogen_amplitude
     spec = cfg.quad or DEFAULT_SPEC_2D
     sx, sy = state.widths
     sign = state.parity
@@ -229,7 +229,6 @@ def event_density_gaussian(
     cfg: ScatteringConfig,
     kin: Kinematics,
     amplitude: Callable | None = None,
-    a: float = 1.0,
 ) -> EventDensity:
     """Event density for the round Gaussian packet, and its anisotropic
     generalization, by 2-D momentum quadrature.
@@ -244,27 +243,26 @@ def event_density_gaussian(
         raise UnsupportedVariant(
             f"event_density_gaussian expects a gaussian-like state, got {cfg.state.variant}"
         )
-    return _momentum_density(cfg, kin, amplitude, a)
+    return _momentum_density(cfg, kin, amplitude)
 
 
 def event_density_cat_quadrature(
     cfg: ScatteringConfig,
     kin: Kinematics,
     amplitude: Callable | None = None,
-    a: float = 1.0,
 ) -> EventDensity:
     """Event density for the two-packet states by 2-D momentum quadrature.
 
     The bracket multiplying the Gaussian-weighted amplitude is the
     displaced-packet weight plus (cats) or without (incoherent pair) the
     interference fringe ``cos(2 r0 . p)``.  Any real amplitude may be
-    supplied; hydrogen with radius ``a`` is the default.
+    supplied; hydrogen is the default.
     """
     if cfg.state.variant not in (EVEN_CAT, ODD_CAT, INCOHERENT_PAIR):
         raise UnsupportedVariant(
             f"event_density_cat_quadrature expects a two-packet state, got {cfg.state.variant}"
         )
-    return _momentum_density(cfg, kin, amplitude, a)
+    return _momentum_density(cfg, kin, amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +270,7 @@ def event_density_cat_quadrature(
 # ---------------------------------------------------------------------------
 
 
-def event_density_cat_closed(
-    cfg: ScatteringConfig,
-    kin: Kinematics,
-    a: float = 1.0,
-) -> EventDensity:
+def event_density_cat_closed(cfg: ScatteringConfig, kin: Kinematics) -> EventDensity:
     """Cat-state event density off hydrogen via the 1-D closed form.
 
     The momentum integral is carried out analytically for the hydrogen
@@ -284,12 +278,10 @@ def event_density_cat_closed(
     Schwinger parameter x.  This is the one-kinematics case of
     :func:`event_densities`, which documents the truncation and panels.
     """
-    return _cat_closed_batch(cfg, [kin], a)[0]
+    return _cat_closed_batch(cfg, [kin])[0]
 
 
-def _cat_closed_batch(
-    cfg: ScatteringConfig, kins: list[Kinematics], a: float
-) -> list[EventDensity]:
+def _cat_closed_batch(cfg: ScatteringConfig, kins: list[Kinematics]) -> list[EventDensity]:
     state, target = cfg.state, cfg.target
     if state.variant not in (EVEN_CAT, ODD_CAT):
         raise UnsupportedVariant(
@@ -298,8 +290,8 @@ def _cat_closed_batch(
     spec = cfg.quad or DEFAULT_SPEC_1D
     sp = state.sigma_perp
     sign = state.parity
-    beta = (a / 2.0) ** 2
-    s8 = a ** 2 / (8.0 * sp ** 2)
+    beta = 0.25
+    s8 = 1.0 / (8.0 * sp ** 2)
     c_sep = state.r0 ** 2 / (2.0 * sp ** 2)
 
     # One phi-free weight row per distinct (p_i, p_f, theta), taking |Qperp|
@@ -381,7 +373,6 @@ def event_density_general(
     cfg: ScatteringConfig,
     kin: Kinematics,
     amplitude: Callable | None = None,
-    a: float = 1.0,
     density: Callable | None = None,
 ) -> EventDensity:
     """Event density by direct 4-D cubature of n(b) W(b,p) f(|Q-p|)^2.
@@ -397,7 +388,7 @@ def event_density_general(
     state, target = cfg.state, cfg.target
     if target.wide_limit:
         raise ValueError("event_density_general requires a finite target")
-    amplitude = amplitude or partial(hydrogen_amplitude, a=a)
+    amplitude = amplitude or hydrogen_amplitude
     spec = cfg.quad or DEFAULT_SPEC_4D
     mt = momentum_transfer(kin)
     qx0, qy0 = mt.qperp
@@ -457,7 +448,6 @@ def event_density(
     kin: Kinematics,
     method: str = "auto",
     amplitude: Callable | None = None,
-    a: float = 1.0,
 ) -> EventDensity:
     """Evaluate d nu / d Omega with the natural method for the state.
 
@@ -466,12 +456,12 @@ def event_density(
     """
     method = _pick_method(cfg, method, amplitude)
     if method == GENERAL_4D:
-        return event_density_general(cfg, kin, amplitude, a)
+        return event_density_general(cfg, kin, amplitude)
     if method == CLOSED_FORM:
-        return event_density_cat_closed(cfg, kin, a)
+        return event_density_cat_closed(cfg, kin)
     if cfg.state.variant in (GAUSSIAN, ANISOTROPIC):
-        return event_density_gaussian(cfg, kin, amplitude, a)
-    return event_density_cat_quadrature(cfg, kin, amplitude, a)
+        return event_density_gaussian(cfg, kin, amplitude)
+    return event_density_cat_quadrature(cfg, kin, amplitude)
 
 
 def event_densities(
@@ -479,7 +469,6 @@ def event_densities(
     kins: Sequence[Kinematics],
     method: str = "auto",
     amplitude: Callable | None = None,
-    a: float = 1.0,
 ) -> list[EventDensity]:
     """:func:`event_density` for many kinematics sharing ``cfg``, in order.
 
@@ -497,15 +486,16 @@ def event_densities(
     kins = list(kins)
     method = _pick_method(cfg, method, amplitude)
     if method != CLOSED_FORM:
-        return [event_density(cfg, k, method, amplitude, a) for k in kins]
+        return [event_density(cfg, k, method, amplitude) for k in kins]
     out: list[EventDensity] = []
     for i in range(0, len(kins), _BATCH_KINEMATICS):
-        out += _cat_closed_batch(cfg, kins[i:i + _BATCH_KINEMATICS], a)
+        out += _cat_closed_batch(cfg, kins[i:i + _BATCH_KINEMATICS])
     return out
 
 
-def cross_section(ed: EventDensity, n_e: int) -> float:
-    """Effective cross section 2 pi Sigma^2 / N_e * d nu / d Omega [a^2/sr].
+def cross_section(ed: EventDensity) -> float:
+    """Effective cross section 2 pi Sigma^2 / N_e * d nu / d Omega [a^2/sr],
+    with N_e = ``ed.n_e``, the electron count the density was computed for.
 
     Idempotent on wide-limit results (they are already cross sections).
     """
@@ -516,7 +506,7 @@ def cross_section(ed: EventDensity, n_e: int) -> float:
             "event density carries no Sigma^2 (anisotropic beam on a finite "
             "target); cross-section conversion is undefined"
         )
-    return 2.0 * math.pi * ed.sigma_sq * ed.value / n_e
+    return 2.0 * math.pi * ed.sigma_sq * ed.value / ed.n_e
 
 
 @dataclass(frozen=True)
@@ -527,20 +517,19 @@ class ValidityCondition:
     note: str = ""
 
 
-def validity_check(
-    state: BeamState, target: TargetProfile, a: float = 1.0
-) -> list[ValidityCondition]:
+def validity_check(state: BeamState, target: TargetProfile) -> list[ValidityCondition]:
     """Report the modeling assumptions with their scale-separation margins.
 
     Strong separations (<<) are flagged satisfied at a factor of 10; the
     soft asymmetry-existence bounds use factor 1.  Informational only:
-    callers surface warnings, nothing refuses to run.
+    callers surface warnings, nothing refuses to run.  Lengths are in
+    Bohr radii, so a margin against ``a`` is the length itself.
     """
     sx, sy = state.widths
     sperp = min(sx, sy)
     out = [
         ValidityCondition(
-            "a << sigma_z", state.sigma_z / a >= 10.0, state.sigma_z / a,
+            "a << sigma_z", state.sigma_z >= 10.0, state.sigma_z,
             "longitudinal packet must dwarf the potential radius"),
         ValidityCondition(
             "sigma_z << sigma_perp^2 p_i",
@@ -556,8 +545,8 @@ def validity_check(
         out.append(ValidityCondition("sigma_t >> a", True, math.inf,
                                      "wide-limit target"))
     else:
-        out.append(ValidityCondition("sigma_t >> a", target.sigma_t / a >= 10.0,
-                                     target.sigma_t / a,
+        out.append(ValidityCondition("sigma_t >> a", target.sigma_t >= 10.0,
+                                     target.sigma_t,
                                      "target must vary slowly on the potential scale"))
     if state.variant in (EVEN_CAT, ODD_CAT, INCOHERENT_PAIR):
         ratio = state.r0 / state.sigma_perp
@@ -569,7 +558,7 @@ def validity_check(
             10.0 / ratio if ratio > 0 else math.inf,
             "azimuthal asymmetry vanishes for r0 >> sigma_perp"))
         out.append(ValidityCondition(
-            "sigma_perp >~ a", state.sigma_perp / a >= 1.0,
-            state.sigma_perp / a,
+            "sigma_perp >~ a", state.sigma_perp >= 1.0,
+            state.sigma_perp,
             "interference washes out for wide packets (paraxial regime)"))
     return out

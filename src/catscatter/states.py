@@ -29,7 +29,7 @@ rather than via ``cosh`` (avoids overflow at large separations).
 
 Every phase-space truncation box (negativity scans, normalization, the
 4-D scattering oracle, the CLI export) comes from :func:`phase_space_box`,
-and :func:`wigner_slice` is the one grid along the separation axis.
+and every scan grid of W (negativity scans, the CLI export) from :func:`wigner_grid`.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ __all__ = [
     "phase_space_grid",
     "phase_space_box",
     "phase_space_panels",
-    "wigner_slice",
+    "WIGNER_GRID_N",
+    "wigner_grid",
 ]
 
 HARTREE_EV = 27.2114
@@ -74,6 +75,11 @@ ANISOTROPIC = "anisotropic"
 _CAT_VARIANTS = (EVEN_CAT, ODD_CAT)
 _TWO_PACKET = (EVEN_CAT, ODD_CAT, INCOHERENT_PAIR)
 _ALL_VARIANTS = (GAUSSIAN,) + _TWO_PACKET + (ANISOTROPIC,)
+
+# Default points per axis of a Wigner scan grid, by mode (32^4 = 1 M in 4-D).
+WIGNER_GRID_N = {"slice": 128, "full": 32}
+
+_NORMALIZATION_SPEC = QuadratureSpec(rel_tol=1e-4, abs_tol=1e-6, max_subdivisions=200_000)
 
 # Below this separation the odd-cat normalization 1 - exp(-r0^2/2s^2)
 # degenerates and the state is rejected.
@@ -338,20 +344,28 @@ def phase_space_panels(state: BeamState, box: Sequence[Interval]) -> list[int]:
     ]
 
 
-def wigner_slice(state: BeamState, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """W on an ``n x n`` grid of the (u, p_u) plane along the separation axis.
+def wigner_grid(state: BeamState, n: int, mode: str) -> tuple[np.ndarray, ...]:
+    """W on ``n`` endpoint-exclusive points per axis of the
+    :func:`phase_space_box` with ``n_r = n_p = 4``.
 
-    The transverse coordinates are held at zero (the plotting convention
-    ``y = p_y = 0`` when ``r0`` lies along x).  The grid spans
-    ``+/-(4 sigma + r0)`` in u and ``+/-4 / sigma`` in p_u, the
-    :func:`phase_space_box` with ``n_r = n_p = 4``.  Returns
-    ``(U, PU, W)``, indexed ``[u, p_u]``.
+    ``mode='slice'`` is the (u, p_u) plane along the separation axis with
+    the transverse coordinates held at zero (the plotting convention
+    ``y = p_y = 0`` when ``r0`` lies along x), spanning ``+/-(4 sigma + r0)``
+    in u and ``+/-4 / sigma`` in p_u; it returns ``(U, PU, W)``, indexed
+    ``[u, p_u]``.  ``mode='full'`` is the lab-frame 4-D box; it returns
+    ``(X, Y, PX, PY, W)``, indexed ``[x, y, p_x, p_y]``.
     """
-    u_box, _, p_box, _ = phase_space_box(state.widths, (state.r0, 0.0), 4.0, 4.0)
-    ex, ey = math.cos(state.phi_r0), math.sin(state.phi_r0)
-    U, PU = np.meshgrid(phase_space_grid(u_box.lo, u_box.hi, n),
-                        phase_space_grid(p_box.lo, p_box.hi, n), indexing="ij")
-    return U, PU, wigner_values(state, U * ex, U * ey, PU * ex, PU * ey)
+    if mode == "slice":
+        u_box, _, p_box, _ = phase_space_box(state.widths, (state.r0, 0.0), 4.0, 4.0)
+        ex, ey = math.cos(state.phi_r0), math.sin(state.phi_r0)
+        U, PU = np.meshgrid(phase_space_grid(u_box.lo, u_box.hi, n),
+                            phase_space_grid(p_box.lo, p_box.hi, n), indexing="ij")
+        return U, PU, wigner_values(state, U * ex, U * ey, PU * ex, PU * ey)
+    if mode != "full":
+        raise ValueError(f"mode must be 'slice' or 'full', got {mode!r}")
+    box = phase_space_box(state.widths, state.r0_vec, 4.0, 4.0)
+    axes = np.meshgrid(*(phase_space_grid(iv.lo, iv.hi, n) for iv in box), indexing="ij")
+    return (*axes, wigner_values(state, *axes))
 
 
 def negativity_scan(
@@ -365,27 +379,23 @@ def negativity_scan(
     scans the whole 4-D box.  ``negative_volume_fraction`` is the fraction
     of grid cells with W < 0; ``min_value`` is the raw grid minimum.
 
-    Both modes scan the :func:`phase_space_box` with ``n_r = n_p = 4``:
-    ``+/-(4 sigma + |r0|)`` in position, so both packets are inside, and
-    ``+/-4/sigma`` in momentum.  The slice's box is measured along the
-    separation axis, so a round beam scans the same plane for every
-    ``phi_r0``.
+    Both modes scan the :func:`wigner_grid`: ``+/-(4 sigma + |r0|)`` in
+    position, so both packets are inside, and ``+/-4/sigma`` in momentum,
+    with ``WIGNER_GRID_N[mode]`` points per axis by default.  The slice's
+    box is measured along the separation axis, so a round beam scans the
+    same plane for every ``phi_r0``.
     """
-    if mode not in ("slice", "full"):
+    if mode not in WIGNER_GRID_N:
         raise ValueError(f"mode must be 'slice' or 'full', got {mode!r}")
     if grid_n is None:
-        grid_n = 128 if mode == "slice" else 32
+        grid_n = WIGNER_GRID_N[mode]
     if grid_n < 16:
         raise ValueError("grid_n must be >= 16")
+    *coords, w = wigner_grid(state, grid_n, mode)
     if mode == "slice":
-        U, PU, w = wigner_slice(state, grid_n)
+        U, PU = coords
         ex, ey = math.cos(state.phi_r0), math.sin(state.phi_r0)
         coords = (U * ex, U * ey, PU * ex, PU * ey)
-    else:
-        box = phase_space_box(state.widths, state.r0_vec, 4.0, 4.0)
-        grids = (phase_space_grid(iv.lo, iv.hi, grid_n) for iv in box)
-        coords = np.meshgrid(*grids, indexing="ij")
-        w = wigner_values(state, *coords)
     flat = int(np.argmin(w))
     x, y, px, py = (float(c.ravel()[flat]) for c in coords)
     return NegativityScan(
@@ -397,18 +407,15 @@ def negativity_scan(
     )
 
 
-def wigner_normalization(
-    state: BeamState, spec: QuadratureSpec | None = None
-) -> QuadratureResult:
+def wigner_normalization(state: BeamState) -> QuadratureResult:
     """Integrate W over its truncation box by honest 4-D cubature.
 
     The box spans 6 widths around the packet centers in position and
     4.5 inverse widths in momentum, so truncation is far below the
-    quadrature tolerance.  Initial panels resolve the packet widths and,
-    on the momentum axis along ``r0``, the interference fringe period.
+    quadrature tolerance (``rel_tol=1e-4, abs_tol=1e-6``).  Initial panels
+    resolve the packet widths and, on the momentum axis along ``r0``, the
+    interference fringe period.
     """
-    if spec is None:
-        spec = QuadratureSpec(rel_tol=1e-4, abs_tol=1e-6, max_subdivisions=200_000)
     box = phase_space_box(state.widths, state.r0_vec, 6.0, 4.5)
-    return integrate_nd(partial(wigner_values, state), box, spec,
+    return integrate_nd(partial(wigner_values, state), box, _NORMALIZATION_SPEC,
                         initial_splits=phase_space_panels(state, box))

@@ -19,9 +19,9 @@ state is real in first Born order:
 
 ``f(q) = (a/2) [ 1/(1 + (a/2)^2 q^2) + 1/(1 + (a/2)^2 q^2)^2 ]``
 
-with ``a`` the Bohr radius, kept as an explicit parameter (default 1 in
-internal units) so the ratio of potential radius to beam width is visible
-in every call.
+with ``a`` the Bohr radius.  Lengths are in Bohr radii, so ``a = 1``
+here and throughout the package: no function takes ``a``, and the ratio
+of potential radius to beam width is the inverse width itself.
 """
 
 from __future__ import annotations
@@ -128,19 +128,18 @@ def momentum_transfer(kin: Kinematics) -> MomentumTransfer:
     return MomentumTransfer(qz=qz, qperp=(qp * math.cos(kin.phi), qp * math.sin(kin.phi)))
 
 
-def hydrogen_amplitude(q, a: float = 1.0):
-    """First-Born elastic amplitude for hydrogen 1s, real, in units of a.
+def hydrogen_amplitude(q):
+    """First-Born elastic amplitude for hydrogen 1s, real, with a = 1, the
+    unit of length.
 
-    Vectorized over ``q`` (momentum-transfer magnitude, >= 0).
-    ``f(0) = a`` and ``q^2 f(q) -> 2/a`` at large momentum transfer.
+    Vectorized over ``q`` (momentum-transfer magnitude [1/a], >= 0).
+    ``f(0) = 1`` and ``q^2 f(q) -> 2`` at large momentum transfer.
     """
-    if a <= 0:
-        raise ValueError("a must be > 0")
     q = np.asarray(q, dtype=float)
     if np.any(q < 0):
         raise ValueError("q must be >= 0")
-    u = 1.0 / (1.0 + (0.5 * a) ** 2 * q * q)
-    out = 0.5 * a * (u + u * u)
+    u = 1.0 / (1.0 + 0.25 * q * q)
+    out = 0.5 * (u + u * u)
     return float(out) if out.ndim == 0 else out
 
 

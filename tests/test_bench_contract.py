@@ -2,13 +2,15 @@
 
 ``bench/tracing.py`` wraps and counts functions by name, and
 ``bench/workloads.py`` calls them as module attributes.  A name deleted
-from the library would only surface in a traced benchmark run, so this
-test reads both files (without importing or changing them) and checks
-every such name against the library.
+from the library, or a keyword dropped from a signature the benchmark
+calls, would only surface in a benchmark run, so these tests read both
+files (without importing or changing them) and check every such name and
+call against the library.
 """
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
@@ -77,6 +79,13 @@ def _aliases(tree):
     return out
 
 
+def _imported(tree):
+    """``from catscatter.X import Name`` -> {Name: X}."""
+    return {alias.name: node.module.split(".", 1)[1] for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("catscatter.")
+            for alias in node.names}
+
+
 def test_workloads_use_existing_attributes():
     tree = _tree("workloads.py")
     aliases = _aliases(tree)
@@ -84,10 +93,47 @@ def test_workloads_use_existing_attributes():
     used = {(aliases[node.value.id], node.attr) for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id in aliases}
-    used |= {(node.module.split(".", 1)[1], alias.name) for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("catscatter.")
-             for alias in node.names}
+    used |= {(short, name) for name, short in _imported(tree).items()}
     assert ("analysis", "azimuthal_asymmetry") in used
     assert ("quadrature", "DEFAULT_SPEC_4D") in used
     for short, attr in sorted(used):
         assert hasattr(_module(short), attr), f"{short}.{attr}"
+
+
+def _callee(func, aliases, imported):
+    """The catscatter callable that a call's ``func`` node names, or None:
+    ``an.sweep``, an imported ``AsymmetrySpec``, or ``BeamState.odd_cat``."""
+    if isinstance(func, ast.Name) and func.id in imported:
+        return getattr(_module(imported[func.id]), func.id)
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        owner = func.value.id
+        if owner in aliases:
+            return getattr(_module(aliases[owner]), func.attr)
+        if owner in imported:
+            return getattr(getattr(_module(imported[owner]), owner), func.attr)
+    return None
+
+
+def test_workload_calls_bind_to_the_library_signatures():
+    # Each call's keywords and positional count must bind; a call that
+    # unpacks ``*args`` is checked by its keywords alone.
+    tree = _tree("workloads.py")
+    aliases, imported = _aliases(tree), _imported(tree)
+    bound = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = _callee(node.func, aliases, imported)
+        if fn is None:
+            continue
+        n_pos = 0 if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+        keywords = [k.arg for k in node.keywords if k.arg is not None]
+        name = ast.unparse(node.func)
+        try:
+            inspect.signature(fn).bind_partial(*[None] * n_pos, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            raise AssertionError(f"bench/workloads.py:{node.lineno} {name}: {exc}") from None
+        bound.update(f"{name}({k}=)" for k in keywords)
+    assert {"an.sweep(workers=)", "an.peak_theta(profile=)", "an.peak_theta(method=)",
+            "st.negativity_scan(mode=)", "BeamState.odd_cat(phi_r0=)",
+            "AsymmetrySpec(phi_grid_n=)"} <= bound

@@ -3,12 +3,13 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
-from catscatter.cli import DEG, RunConfig, fmt, parse_grid, run
+from catscatter.cli import DEG, RunConfig, _build_parser, _resolve, fmt, parse_grid, run
 from catscatter.scattering import ScatteringConfig, event_density_cat_closed
-from catscatter.states import BeamState
+from catscatter.states import BeamState, negativity_scan
 from catscatter.targets import Kinematics, TargetProfile
 
 PI2 = 1.0 / math.pi ** 2
@@ -62,6 +63,17 @@ def test_wigner_full_mode_header(tmp_path):
         n_rows = sum(1 for _ in fh)
     assert header == "x,y,px,py,w"
     assert n_rows == 16 ** 4
+
+
+def test_full_wigner_export_minimum_is_the_negativity_scan_minimum():
+    code, out, _ = run_cli("wigner", "--state", "even-cat", "--sigma-perp", "2",
+                           "--r0", "4", "--phi-r0", "30", "--mode", "full", "--grid", "16")
+    assert code == 0
+    w = [float(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]]
+    scan = negativity_scan(BeamState.even_cat(2.0, 4.0, phi_r0=30.0 * DEG),
+                           mode="full", grid_n=16)
+    assert scan.min_value < 0.0
+    assert min(w) == scan.min_value
 
 
 def test_scatter_phi_grid_is_flat_for_gaussian():
@@ -203,6 +215,19 @@ def test_input_errors_exit_one(tmp_path):
     assert run_cli("--config", str(tmp_path / "missing.json"))[0] == 1
 
 
+@pytest.mark.parametrize("sub", ["wigner", "scatter", "asymmetry", "sweep", "validate"])
+def test_bare_flags_resolve_to_the_run_config_defaults(sub):
+    required = ["--axis", "r0", "--values", "1,2"] if sub == "sweep" else []
+    got = _resolve(_build_parser().parse_args([sub, *required]))
+    want = RunConfig(subcommand=sub)
+    if sub == "sweep":
+        want.axis, want.values = "r0", [1.0, 2.0]
+    for f in fields(RunConfig):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+# Non-positive counts and tolerances, and phi grids below the 8 points an
+# asymmetry scan needs.
 @pytest.mark.parametrize("argv", [
     ["scatter", "--tol", "0"],
     ["scatter", "--phi-grid", "0"],
@@ -210,20 +235,26 @@ def test_input_errors_exit_one(tmp_path):
     ["wigner", "--grid", "-4"],
     ["wigner", "--grid", "0"],
     ["asymmetry", "--phi-grid", "-5"],
+    ["asymmetry", "--phi-grid", "3"],
+    ["sweep", "--axis", "r0", "--values", "2,3", "--state", "odd-cat", "--r0", "2",
+     "--wide", "--phi-grid", "5"],
 ])
 def test_non_positive_numbers_exit_one(argv, tmp_path):
+    *rest, flag, value = argv
     code, out, err = run_cli(*argv)
     assert (code, out) == (1, "")
     assert err.startswith("input error:")
+    if flag == "--phi-grid" and int(value) > 0:
+        assert err == "input error: ValueError: phi_grid_n must be >= 8\n"
     # The same values read back from a sidecar are rejected the same way.
-    cfg = RunConfig(subcommand=argv[0])
-    field = {"--tol": "tol", "--phi-grid": "phi_grid", "--grid": "grid"}[argv[1]]
-    setattr(cfg, field, float(argv[2]) if field == "tol" else int(argv[2]))
+    cfg = _resolve(_build_parser().parse_args(rest))
+    field = {"--tol": "tol", "--phi-grid": "phi_grid", "--grid": "grid"}[flag]
+    setattr(cfg, field, float(value) if field == "tol" else int(value))
     sidecar = tmp_path / "bad.config.json"
     sidecar.write_text(cfg.to_json())
-    code, out, err = run_cli("--config", str(sidecar))
+    code, out, err2 = run_cli("--config", str(sidecar))
     assert (code, out) == (1, "")
-    assert err.startswith("input error:")
+    assert err2 == err
 
 
 def test_odd_cat_invalid_separation_exits_one():

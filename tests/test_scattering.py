@@ -339,16 +339,16 @@ def test_wide_limit_even_cat_bracket_at_zero_separation():
 def test_cross_section_definition():
     ed = EventDensity(value=1.0, method="quadrature2d", err_est=0.0,
                       sigma_sq=1.0, wide_limit=False, n_e=1)
-    assert cross_section(ed, 1) == pytest.approx(2.0 * math.pi, rel=1e-15)
-    zero = EventDensity(0.0, "quadrature2d", 0.0, 4.0, False, 1)
-    assert cross_section(zero, 3) == 0.0
+    assert cross_section(ed) == pytest.approx(2.0 * math.pi, rel=1e-15)
+    zero = EventDensity(0.0, "quadrature2d", 0.0, 4.0, False, 3)
+    assert cross_section(zero) == 0.0
 
 
 def test_cross_section_wide_idempotent():
     kin = Kinematics.elastic(10.0, 10.0 * DEG, 0.0)
     ed = event_density_cat_closed(wide_cfg(BeamState.even_cat(2.0, 4.0), TIGHT1), kin)
     assert ed.wide_limit
-    assert cross_section(ed, 1) == ed.value
+    assert cross_section(ed) == ed.value
 
 
 def test_doubling_ne_scales_dnu_not_dsigma():
@@ -357,15 +357,16 @@ def test_doubling_ne_scales_dnu_not_dsigma():
     kin = Kinematics.elastic(10.0, 10.0 * DEG, 0.0)
     one = event_density_gaussian(ScatteringConfig(state, target, n_e=1, quad=TIGHT2), kin)
     two = event_density_gaussian(ScatteringConfig(state, target, n_e=2, quad=TIGHT2), kin)
+    assert (one.n_e, two.n_e) == (1, 2)
     assert two.value == pytest.approx(2.0 * one.value, rel=1e-12)
-    assert cross_section(two, 2) == pytest.approx(cross_section(one, 1), rel=1e-12)
+    assert cross_section(two) == pytest.approx(cross_section(one), rel=1e-12)
 
 
 def test_missing_sigma_for_finite_anisotropic():
     cfg = ScatteringConfig(BeamState.anisotropic(2.0, 2.3), TargetProfile.gaussian(20.0))
     ed = event_density_gaussian(cfg, Kinematics.elastic(10.0, 10.0 * DEG, 0.0))
     with pytest.raises(MissingSigma):
-        cross_section(ed, 1)
+        cross_section(ed)
 
 
 def test_dispatch_and_preconditions():

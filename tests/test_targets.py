@@ -69,14 +69,13 @@ def test_inelastic_warning():
 
 
 def test_amplitude_at_zero_equals_radius():
-    assert hydrogen_amplitude(0.0, a=1.0) == 1.0
-    assert hydrogen_amplitude(0.0, a=2.0) == 2.0
+    assert hydrogen_amplitude(0.0) == 1.0
 
 
 def test_amplitude_direct_substitution():
-    assert hydrogen_amplitude(2.0, a=1.0) == pytest.approx(0.375, rel=1e-15)
+    assert hydrogen_amplitude(2.0) == pytest.approx(0.375, rel=1e-15)
     expected = 0.5 * (1.0 / 101.0 + 1.0 / 101.0 ** 2)
-    assert hydrogen_amplitude(20.0, a=1.0) == pytest.approx(expected, rel=1e-15)
+    assert hydrogen_amplitude(20.0) == pytest.approx(expected, rel=1e-15)
     assert expected == pytest.approx(0.0049995, abs=1e-7)
 
 
@@ -88,14 +87,12 @@ def test_amplitude_monotone_decreasing():
 
 def test_amplitude_large_q_tail():
     q = 1e3
-    assert q * q * hydrogen_amplitude(q, a=1.0) == pytest.approx(2.0, rel=0.01)
+    assert q * q * hydrogen_amplitude(q) == pytest.approx(2.0, rel=0.01)
 
 
 def test_amplitude_rejects_bad_input():
     with pytest.raises(ValueError):
         hydrogen_amplitude(-1.0)
-    with pytest.raises(ValueError):
-        hydrogen_amplitude(1.0, a=0.0)
 
 
 # -- target density ----------------------------------------------------------
