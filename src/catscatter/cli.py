@@ -49,7 +49,6 @@ from .targets import Kinematics, TargetProfile
 
 DEG = math.pi / 180.0
 
-_STATE_CHOICES = ("gaussian", "even-cat", "odd-cat", "mixture", "aniso")
 _VARIANT_BY_FLAG = {
     "gaussian": "gaussian",
     "even-cat": "even_cat",
@@ -62,6 +61,16 @@ _METHOD_BY_FLAG = {
     "general4d": "general4d",
     "quad2d": "quadrature2d",
     "closed": "closed_form",
+}
+_AXIS_BY_FLAG = {"r0": "r0", "sigma-perp": "sigma_perp", "theta": "theta", "pi": "p_i"}
+# Allowed values of each RunConfig choice field, for flags and sidecars alike.
+_CHOICES = {
+    "state": tuple(_VARIANT_BY_FLAG),
+    "method": tuple(_METHOD_BY_FLAG),
+    "metric": ("para-perp", "minmax"),
+    "mode": tuple(WIGNER_GRID_N),
+    "format": ("csv", "json"),
+    "axis": tuple(_AXIS_BY_FLAG),
 }
 
 
@@ -145,6 +154,11 @@ class RunConfig:
     version: str = __version__
 
     def __post_init__(self) -> None:
+        for name, choices in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in choices and not (name == "axis" and value is None):
+                raise _InputError(f"--{name}: invalid choice {value!r} "
+                                  f"(choose from {', '.join(choices)})")
         self.wide = self.wide or self.sigma_t is None
         if self.grid is None:
             self.grid = WIGNER_GRID_N[self.mode]
@@ -169,7 +183,7 @@ class RunConfig:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     # Each dest but ev is a RunConfig field; an unset flag leaves its default.
-    p.add_argument("--state", choices=_STATE_CHOICES)
+    p.add_argument("--state", choices=_CHOICES["state"])
     p.add_argument("--sigma-perp", type=float, metavar="F")
     p.add_argument("--sigma-x", type=float, metavar="F")
     p.add_argument("--sigma-y", type=float, metavar="F")
@@ -191,12 +205,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--phi", dest="phi_deg", type=lambda t: parse_grid(t, "phi"),
                    metavar="A[:B:N]")
     p.add_argument("--phi-grid", type=int, metavar="N")
-    p.add_argument("--metric", choices=("para-perp", "minmax"))
-    p.add_argument("--method", choices=tuple(_METHOD_BY_FLAG))
+    p.add_argument("--metric", choices=_CHOICES["metric"])
+    p.add_argument("--method", choices=_CHOICES["method"])
     p.add_argument("--tol", type=float, metavar="F")
     p.add_argument("--ne", type=int, metavar="N")
     p.add_argument("--out", metavar="PATH")
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--format", choices=_CHOICES["format"])
 
 
 def _build_parser() -> _Parser:
@@ -216,10 +230,9 @@ def _build_parser() -> _Parser:
         if name == "wigner":
             sp.add_argument("--grid", type=int, metavar="N", help="points per axis "
                             "(default %(slice)d slice, %(full)d full)" % WIGNER_GRID_N)
-            sp.add_argument("--mode", choices=tuple(WIGNER_GRID_N))
+            sp.add_argument("--mode", choices=_CHOICES["mode"])
         if name == "sweep":
-            sp.add_argument("--axis", choices=("r0", "sigma-perp", "theta", "pi"),
-                            required=True)
+            sp.add_argument("--axis", choices=_CHOICES["axis"], required=True)
             sp.add_argument("--values", type=_parse_values, required=True,
                             metavar="V1,V2,...")
             sp.add_argument("--r0-ratio", type=float, metavar="F",
@@ -318,7 +331,9 @@ def _run_asymmetry(cfg: RunConfig):
 
 
 def _run_sweep(cfg: RunConfig):
-    axis = {"r0": "r0", "sigma-perp": "sigma_perp", "theta": "theta", "pi": "p_i"}[cfg.axis]
+    if cfg.axis is None or cfg.values is None:
+        raise _InputError("sweep needs --axis and --values")
+    axis = _AXIS_BY_FLAG[cfg.axis]
     values = list(cfg.values)
     if axis == "theta":
         values = [v * DEG for v in values]

@@ -113,19 +113,24 @@ class QuadratureResult:
 
 
 _MAX_OSC_PANELS = 8192
+# Fringe phase one initial panel may hold.  A K15 or Genz-Malik panel
+# resolves a Gaussian-damped cosine to rounding level over this much phase,
+# and a quarter period keeps every panel far from a whole one.
+_PANEL_PHASE = math.pi / 2.0
 
 
 def oscillation_panels(width: float, phase_rate: float) -> int:
-    """Initial panel count so each panel spans at most pi/8 of phase.
+    """Initial panel count so each panel spans at most pi/2 of phase.
 
     ``phase_rate`` is the maximum |d(phase)/dx| of a cosine factor on the
-    axis.  Keeping the per-panel phase under pi/8 prevents the adaptive
-    scheme from locking onto an aliased estimate of an oscillatory
-    integrand.  The count is capped at 8192 panels per axis.
+    axis.  A panel then holds at most a quarter period and never a whole
+    one, so the adaptive scheme cannot lock onto an aliased estimate of an
+    oscillatory integrand.  The count is capped at 8192 panels per axis;
+    past the cap (width * phase_rate above 4096 pi) the promise lapses.
     """
     if phase_rate <= 0 or width <= 0:
         return 1
-    n = int(math.ceil(width * phase_rate / (math.pi / 8.0)))
+    n = int(math.ceil(width * phase_rate / _PANEL_PHASE))
     return max(1, min(n, _MAX_OSC_PANELS))
 
 
@@ -473,7 +478,8 @@ def integrate_1d(
         must meet ``err_i <= max(abs_tol, rel_tol * |value_i|)`` on its own.
     initial_panels : int
         Uniform panelization before refinement starts.  Use
-        :func:`oscillation_panels` for integrands carrying a fast cosine.
+        :func:`oscillation_panels` for integrands carrying a fast cosine;
+        it holds each panel to pi/2 of its phase.
 
     Returns
     -------

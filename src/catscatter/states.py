@@ -331,7 +331,8 @@ def phase_space_panels(state: BeamState, box: Sequence[Interval]) -> list[int]:
     """Initial splits of a 4-D (x, y, p_x, p_y) box for cubature of W.
 
     Panels span about one packet width per axis; on the momentum axes of a
-    cat they also hold at most pi/8 of the fringe ``cos(2 r0 . p)``.
+    cat they also hold at most pi/2 of the fringe ``cos(2 r0 . p)``, the
+    budget of :func:`~catscatter.quadrature.oscillation_panels`.
     """
     sx, sy = state.widths
     bx, by, bpx, bpy = box
@@ -413,8 +414,8 @@ def wigner_normalization(state: BeamState) -> QuadratureResult:
     The box spans 6 widths around the packet centers in position and
     4.5 inverse widths in momentum, so truncation is far below the
     quadrature tolerance (``rel_tol=1e-4, abs_tol=1e-6``).  Initial panels
-    resolve the packet widths and, on the momentum axis along ``r0``, the
-    interference fringe period.
+    resolve the packet widths and, on the momentum axes of a cat, a
+    quarter period of the interference fringe (:func:`phase_space_panels`).
     """
     box = phase_space_box(state.widths, state.r0_vec, 6.0, 4.5)
     return integrate_nd(partial(wigner_values, state), box, _NORMALIZATION_SPEC,

@@ -257,6 +257,37 @@ def test_non_positive_numbers_exit_one(argv, tmp_path):
     assert err2 == err
 
 
+# A sidecar value outside the parser's choices for its field (library
+# spellings and misspellings).
+@pytest.mark.parametrize("sub,field,bad", [
+    ("scatter", "state", "cat"),
+    ("scatter", "method", "quadrature2d"),
+    ("asymmetry", "metric", "para_perp"),
+    ("wigner", "mode", "4d"),
+    ("scatter", "format", "xml"),
+    ("sweep", "axis", "sigma_perp"),
+])
+def test_sidecar_choice_fields_are_checked(sub, field, bad, tmp_path):
+    extra = dict(axis="r0", values=[1.0, 2.0]) if sub == "sweep" else {}
+    data = json.loads(RunConfig(subcommand=sub, **extra).to_json())
+    data[field] = bad
+    sidecar = tmp_path / "bad.config.json"
+    sidecar.write_text(json.dumps(data))
+    code, out, err = run_cli("--config", str(sidecar))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"input error: --{field}: invalid choice {bad!r}")
+
+
+@pytest.mark.parametrize("field", ["axis", "values"])
+def test_sweep_sidecar_without_axis_or_values_exits_one(field, tmp_path):
+    data = json.loads(RunConfig(subcommand="sweep", axis="r0", values=[1.0]).to_json())
+    data[field] = None
+    sidecar = tmp_path / "bad.config.json"
+    sidecar.write_text(json.dumps(data))
+    assert run_cli("--config", str(sidecar)) == (
+        1, "", "input error: sweep needs --axis and --values\n")
+
+
 def test_odd_cat_invalid_separation_exits_one():
     code, _, err = run_cli("wigner", "--state", "odd-cat", "--sigma-perp", "2",
                            "--r0", "0.0001")

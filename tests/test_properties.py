@@ -2,7 +2,7 @@
 batched closed form, pi-periodicity and reflection symmetry of dnu(phi)
 about the separation azimuth, and nonnegativity; for the 2-D momentum
 route, the Gaussian and mixture nulls, the frame change and agreement with
-the closed form."""
+the closed form; for the 4-D oracle, agreement with the 2-D route."""
 
 import math
 
@@ -16,6 +16,7 @@ from catscatter.scattering import (
     event_density_cat_closed,
     event_density_cat_quadrature,
     event_density_gaussian,
+    event_density_general,
 )
 from catscatter.states import BeamState
 from catscatter.targets import Kinematics, TargetProfile
@@ -89,6 +90,18 @@ def test_route_2d_nulls_and_frames(sigma_perp, r0_ratio, theta, p, phi, phi_r0, 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(**ROUTE_2D, odd=st.booleans())
+# Fast fringes: wide separations at large momentum transfer on the offset
+# target, the corner that most tests the fringe panel budget of the 2-D route.
+@example(sigma_perp=2.0, r0_ratio=5.0, theta=0.44, p=35.0, phi=0.3, phi_r0=1.1,
+         wide=False, odd=True)
+@example(sigma_perp=2.0, r0_ratio=5.0, theta=0.44, p=35.0, phi=0.3, phi_r0=1.1,
+         wide=False, odd=False)
+@example(sigma_perp=1.0, r0_ratio=6.0, theta=0.52, p=40.0, phi=2.0, phi_r0=0.7,
+         wide=False, odd=True)
+@example(sigma_perp=1.5, r0_ratio=6.0, theta=0.35, p=40.0, phi=5.5, phi_r0=0.4,
+         wide=False, odd=False)
+@example(sigma_perp=3.0, r0_ratio=4.0, theta=0.35, p=30.0, phi=4.0, phi_r0=2.5,
+         wide=False, odd=False)
 def test_route_2d_cat_agrees_with_closed_form(sigma_perp, r0_ratio, theta, p, phi, phi_r0,
                                               wide, odd):
     maker = BeamState.odd_cat if odd else BeamState.even_cat
@@ -96,3 +109,27 @@ def test_route_2d_cat_agrees_with_closed_form(sigma_perp, r0_ratio, theta, p, ph
     cfg = ScatteringConfig(maker(sigma_perp, r0_ratio * sigma_perp, phi_r0=phi_r0), target)
     kin = Kinematics.elastic(p, theta, phi)
     _agree(event_density_cat_quadrature(cfg, kin), event_density_cat_closed(cfg, kin))
+
+
+# -- the 4-D phase-space oracle ------------------------------------------------
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    sigma_perp=st.floats(1.5, 2.5),
+    r0_ratio=st.floats(0.5, 2.0),
+    phi_r0=st.floats(0.0, 2.0 * math.pi),
+    sigma_t=st.floats(15.0, 25.0),
+    theta=st.floats(5.0 * math.pi / 180.0, 15.0 * math.pi / 180.0),
+    p=st.floats(8.0, 12.0),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    odd=st.booleans(),
+)
+def test_route_4d_cat_agrees_with_2d(sigma_perp, r0_ratio, phi_r0, sigma_t, theta, p, phi,
+                                     odd):
+    """The lab-frame 4-D cubature of n W f^2 and the 2-D momentum route
+    give one cat density on an offset finite target."""
+    maker = BeamState.odd_cat if odd else BeamState.even_cat
+    target = TargetProfile.gaussian(sigma_t, (1.0, -0.5))
+    cfg = ScatteringConfig(maker(sigma_perp, r0_ratio * sigma_perp, phi_r0=phi_r0), target)
+    kin = Kinematics.elastic(p, theta, phi)
+    _agree(event_density_general(cfg, kin), event_density_cat_quadrature(cfg, kin))

