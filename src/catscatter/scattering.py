@@ -15,8 +15,8 @@ provided:
 * ``event_density_gaussian`` and ``event_density_cat_quadrature`` -- two
   entry points of one 2-D momentum route: the target integral is done
   analytically (Gaussian convolution), leaving a 2-D momentum quadrature
-  of the Gaussian-weighted amplitude, plus the fringe cos(2 r0 . p) for
-  the cats; works for any amplitude;
+  of the Gaussian-weighted amplitude, plus a weight * (1 + cos(2 r0 . p))
+  row for the cats; works for any amplitude;
 * ``event_density_cat_closed``   -- hydrogen only: the momentum integral
   is also done analytically via a Schwinger parameterization, leaving a
   single exponentially damped 1-D integral
@@ -32,8 +32,8 @@ provided:
   theta x phi grid) as one vector-valued integral on a shared panel set.
   The weight integral, the bracket's phi-free first term, is hoisted: one
   row per distinct (p_i, p_f, theta) serves every azimuth, and each
-  kinematics adds one fringe row.  ``event_density_cat_closed`` is the
-  one-kinematics case of the same integral.
+  kinematics adds one weight * (1 + fringe) row.  ``event_density_cat_closed``
+  is the one-kinematics case of the same integral.
 
 The 2-D momentum route takes the per-axis widths of the state.  Round
 beams are integrated in the frame rotated so that Qperp lies along +x;
@@ -167,6 +167,33 @@ def _target_weights(state: BeamState, target: TargetProfile):
     return ssq, 0.5 * (gauss(b0 - r0) + gauss(b0 + r0)), gauss(b0)
 
 
+def _bracket(cfg: ScatteringConfig, method: str, wide_pref: float, c: float, d: float,
+             t_one, e_one, t_sum, e_sum) -> list[EventDensity]:
+    """pref (bw t_one + sign off t_cos) / (1 + sign overlap) per entry of the
+    weight integrals t_one and the fringe rows t_sum = t_one + t_cos.
+
+    A fringe row integrates weight * (1 + fringe), not the bare fringe: its
+    tolerance then scales with the weight, the size of the event density,
+    and a fringe that strong separation or fast oscillation makes negligible
+    cannot stall convergence.  pref is ``wide_pref`` in the wide limit
+    (bw = off = 1), else n_e c / (d sqrt(prod_j Sigma_j^2)).
+    """
+    state, target = cfg.state, cfg.target
+    sign = state.parity
+    if target.wide_limit:
+        bw, off, pref = 1.0, 1.0, wide_pref
+    else:
+        ssq_j, bw, off = _target_weights(state, target)
+        pref = cfg.n_e * c / (d * math.sqrt(ssq_j.prod()))
+    norm = 1.0 + sign * state.packet_overlap
+    c_one = bw - sign * off
+    value = pref * (c_one * t_one + sign * off * t_sum) / norm
+    err = pref * (abs(c_one) * e_one + abs(sign * off) * e_sum) / norm
+    ssq = _sigma_sq(state, target)
+    return [EventDensity(float(v), method, float(e), ssq, target.wide_limit, cfg.n_e)
+            for v, e in zip(np.atleast_1d(value), np.atleast_1d(err))]
+
+
 # ---------------------------------------------------------------------------
 # 2-D momentum quadrature (Gaussian-convolved target)
 # ---------------------------------------------------------------------------
@@ -175,20 +202,20 @@ def _target_weights(state: BeamState, target: TargetProfile):
 def _momentum_density(
     cfg: ScatteringConfig, kin: Kinematics, amplitude: Callable | None
 ) -> EventDensity:
-    """d nu / d Omega = pref (bw I_1 + sign off I_cos) / (1 + sign overlap) with
+    """d nu / d Omega from :func:`_bracket` with the momentum integrals
 
-        I_1   = int d2q f(|Q - q|)^2 exp(-2 (sigma_x^2 q_x^2 + sigma_y^2 q_y^2)),
-        I_cos = the same integrand times cos(2 r0 . q),
+        t_one = int d2q f(|Q - q|)^2 exp(-2 (sigma_x^2 q_x^2 + sigma_y^2 q_y^2)),
+        t_sum = the same integrand times 1 + cos(2 r0 . q),
 
     over +/-4 inverse widths.  Round beams integrate in the frame with Qperp
-    along +x, the anisotropic beam in the lab frame; I_cos is integrated
-    only for the cats (sign = parity != 0).
+    along +x, the anisotropic beam in the lab frame.  A cat integrates both
+    rows as one integral on fringe-resolving panels; the other beams have no
+    fringe (sign = parity = 0) and integrate t_one alone.
     """
-    state, target = cfg.state, cfg.target
+    state = cfg.state
     amplitude = amplitude or hydrogen_amplitude
     spec = cfg.quad or DEFAULT_SPEC_2D
     sx, sy = state.widths
-    sign = state.parity
     mt = momentum_transfer(kin)
     if state.variant == ANISOTROPIC:
         qx0, qy0 = mt.qperp
@@ -202,27 +229,21 @@ def _momentum_density(
         amp = amplitude(q)
         return amp * amp * np.exp(wx * qx * qx + wy * qy * qy)
 
-    i_one = integrate_nd(weighted_f2, box, spec, initial_splits=[4, 4])
-    if target.wide_limit:
-        bw, off, pref = 1.0, 1.0, 2.0 * sx * sy / math.pi
-    else:
-        ssq_j, bw, off = _target_weights(state, target)
-        pref = cfg.n_e * sx * sy / (math.pi ** 2 * math.sqrt(ssq_j.prod()))
-    value, err = bw * i_one.value, bw * i_one.err_est
-    if sign:
+    if state.parity:
         delta = state.phi_r0 - kin.phi
         cx, cy = 2.0 * state.r0 * math.cos(delta), 2.0 * state.r0 * math.sin(delta)
 
-        def fringed(qx, qy):
-            return weighted_f2(qx, qy) * np.cos(cx * qx + cy * qy)
+        def rows(qx, qy):
+            w = weighted_f2(qx, qy)
+            return np.stack([w, w * (1.0 + np.cos(cx * qx + cy * qy))])
 
         splits = [max(4, oscillation_panels(iv.width, abs(c))) for iv, c in zip(box, (cx, cy))]
-        i_cos = integrate_nd(fringed, box, spec, initial_splits=splits)
-        value += sign * off * i_cos.value
-        err += off * i_cos.err_est
-    norm = 1.0 + sign * state.packet_overlap
-    return EventDensity(pref * value / norm, QUADRATURE_2D, pref * err / norm,
-                        _sigma_sq(state, target), target.wide_limit, cfg.n_e)
+        res = integrate_nd(rows, box, spec, initial_splits=splits)
+    else:
+        res = integrate_nd(weighted_f2, box, spec, initial_splits=[4, 4])
+    t, e = np.atleast_1d(res.value), np.atleast_1d(res.err_est)
+    return _bracket(cfg, QUADRATURE_2D, 2.0 * sx * sy / math.pi, sx * sy, math.pi ** 2,
+                    t[0], e[0], t[-1], e[-1])[0]
 
 
 def event_density_gaussian(
@@ -255,8 +276,9 @@ def event_density_cat_quadrature(
 
     The bracket multiplying the Gaussian-weighted amplitude is the
     displaced-packet weight plus (cats) or without (incoherent pair) the
-    interference fringe ``cos(2 r0 . p)``.  Any real amplitude may be
-    supplied; hydrogen is the default.
+    interference fringe ``cos(2 r0 . p)``, integrated as a weight *
+    (1 + fringe) row.  Any real amplitude may be supplied; hydrogen is the
+    default.
     """
     if cfg.state.variant not in (EVEN_CAT, ODD_CAT, INCOHERENT_PAIR):
         raise UnsupportedVariant(
@@ -282,24 +304,19 @@ def event_density_cat_closed(cfg: ScatteringConfig, kin: Kinematics) -> EventDen
 
 
 def _cat_closed_batch(cfg: ScatteringConfig, kins: list[Kinematics]) -> list[EventDensity]:
-    state, target = cfg.state, cfg.target
+    state = cfg.state
     if state.variant not in (EVEN_CAT, ODD_CAT):
         raise UnsupportedVariant(
             f"event_density_cat_closed expects a cat state, got {state.variant}"
         )
     spec = cfg.quad or DEFAULT_SPEC_1D
     sp = state.sigma_perp
-    sign = state.parity
     beta = 0.25
     s8 = 1.0 / (8.0 * sp ** 2)
     c_sep = state.r0 ** 2 / (2.0 * sp ** 2)
 
-    # One phi-free weight row per distinct (p_i, p_f, theta), taking |Qperp|
-    # from the first kinematics of the group, and one fringe row per
-    # kinematics.  A fringe row integrates weight * (1 + fringe), not the
-    # bare fringe: its tolerance then scales with the weight, the size of
-    # the event density, and a fringe that strong separation or fast
-    # oscillation makes negligible cannot stall convergence.
+    # One phi-free weight row per distinct (p_i, p_f, theta), with |Qperp| of
+    # its first kinematics, and one weight * (1 + fringe) row per kinematics.
     group: dict[tuple[float, float, float], int] = {}
     qz_w, qp_w = [], []
     row_of = np.empty(len(kins), dtype=int)
@@ -318,8 +335,6 @@ def _cat_closed_batch(cfg: ScatteringConfig, kins: list[Kinematics]) -> list[Eve
     ])
 
     g_inf = 1.0 + beta * qz_w ** 2
-    if not np.all(g_inf >= 1.0):
-        raise ValueError("closed-form decay exponent fell below 1; bad kinematics")
     eps = spec.abs_tol / 10.0 if spec.abs_tol > 0 else 1e-16
     x_max = float(np.max(-math.log(eps) / g_inf + 40.0))
     base = max(8, math.ceil(x_max / 10.0))
@@ -349,23 +364,8 @@ def _cat_closed_batch(cfg: ScatteringConfig, kins: list[Kinematics]) -> list[Eve
         return out
 
     res = integrate_1d(rows, Interval(0.0, x_max), spec, initial_panels=max(base, osc))
-    t_one, e_one = res.value[row_of], res.err_est[row_of]
-    t_sum, e_sum = res.value[n_w:], res.err_est[n_w:]
-
-    # d nu = pref (bw t_one + sign off t_cos) / norm with t_cos = t_sum - t_one;
-    # the wide limit is bw = off = 1 with pref = beta.
-    ssq = _sigma_sq(state, target)
-    if target.wide_limit:
-        bw, off, pref = 1.0, 1.0, beta
-    else:
-        _, bw, off = _target_weights(state, target)
-        pref = cfg.n_e * beta / (2.0 * math.pi * ssq)
-    norm = 1.0 + sign * state.packet_overlap
-    c_one = bw - sign * off
-    value = pref * (c_one * t_one + sign * off * t_sum) / norm
-    err = pref * (abs(c_one) * e_one + off * e_sum) / norm
-    return [EventDensity(float(v), CLOSED_FORM, float(e), ssq, target.wide_limit, cfg.n_e)
-            for v, e in zip(value, err)]
+    return _bracket(cfg, CLOSED_FORM, beta, beta, 2.0 * math.pi,
+                    res.value[row_of], res.err_est[row_of], res.value[n_w:], res.err_est[n_w:])
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,19 @@ def test_asymmetry_output():
     assert 0.03 <= abs(float(vals[2])) <= 0.2
 
 
+def test_quad2d_asymmetry_at_strong_separation_agrees_with_closed_form():
+    # r0 = 8 sigma_perp lies inside the validity band; the 2-D route once
+    # stalled on this fringe and exited with a NonConvergence input error.
+    argv = ("asymmetry", "--state", "odd-cat", "--sigma-perp", "1", "--r0", "8",
+            "--wide", "--theta", "20", "--pi", "20", "--phi-grid", "8")
+    a = {}
+    for method in ("quad2d", "closed"):
+        code, out, err = run_cli(*argv, "--method", method)
+        assert (code, err) == (0, "")
+        a[method] = float(out.strip().splitlines()[1].split(",")[2])
+    assert abs(a["quad2d"] - a["closed"]) <= 1e-12
+
+
 def test_sweep_json_carries_scans(tmp_path):
     out = tmp_path / "s.json"
     code, _, _ = run_cli("sweep", "--axis", "r0", "--values", "2,3,4",

@@ -55,7 +55,7 @@ def test_batched_scan_symmetries(sigma_perp, r0, theta, p, phi_r0, odd, wide):
 
 ROUTE_2D = dict(
     sigma_perp=st.floats(0.3, 10.0),
-    r0_ratio=st.floats(0.05, 3.0),
+    r0_ratio=st.floats(0.05, 10.0),
     theta=st.floats(0.0, math.pi),
     p=st.floats(1.0, 40.0),
     phi=st.floats(0.0, 2.0 * math.pi),
@@ -101,6 +101,16 @@ def test_route_2d_nulls_and_frames(sigma_perp, r0_ratio, theta, p, phi, phi_r0, 
 @example(sigma_perp=1.5, r0_ratio=6.0, theta=0.35, p=40.0, phi=5.5, phi_r0=0.4,
          wide=False, odd=False)
 @example(sigma_perp=3.0, r0_ratio=4.0, theta=0.35, p=30.0, phi=4.0, phi_r0=2.5,
+         wide=False, odd=False)
+# Strong separations inside the validity band (r0 / sigma_perp up to 10),
+# where a bare fringe integral held to its own size never converged.
+@example(sigma_perp=1.0, r0_ratio=8.0, theta=0.35, p=20.0, phi=0.3, phi_r0=0.3,
+         wide=True, odd=False)
+@example(sigma_perp=1.0, r0_ratio=10.0, theta=0.17, p=10.0, phi=2.0, phi_r0=0.3,
+         wide=True, odd=True)
+@example(sigma_perp=2.0, r0_ratio=8.0, theta=0.3, p=20.0, phi=1.1, phi_r0=0.3,
+         wide=False, odd=True)
+@example(sigma_perp=0.5, r0_ratio=10.0, theta=0.6, p=40.0, phi=1.1, phi_r0=0.3,
          wide=False, odd=False)
 def test_route_2d_cat_agrees_with_closed_form(sigma_perp, r0_ratio, theta, p, phi, phi_r0,
                                               wide, odd):
