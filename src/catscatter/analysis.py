@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class AsymmetrySpec:
     phi_grid_n: int = 64
     metric: str = "para_perp"
     method: str = "auto"
-    amplitude: Callable | None = None
 
     def __post_init__(self) -> None:
         if self.phi_grid_n < 8:
@@ -113,7 +112,7 @@ def azimuthal_asymmetry(spec: AsymmetrySpec) -> AsymmetryResult:
     """
     phis = _phi_grid(spec)
     kins = [spec.kin_base.with_phi(float(p)) for p in phis]
-    eds = event_densities(spec.cfg, kins, method=spec.method, amplitude=spec.amplitude)
+    eds = event_densities(spec.cfg, kins, method=spec.method)
     scan = tuple((float(p), ed.value) for p, ed in zip(phis, eds))
     if spec.metric == "para_perp":
         a_val = _para_perp(scan[0][1], scan[len(scan) // 4][1])
@@ -263,8 +262,8 @@ def peak_theta(
 
     Two profiles are available.  ``rate`` is the event rate per unit polar
     angle, sin(theta) * dnu/dOmega at phi = phi_r0 (the plain dnu/dOmega
-    is monotone decreasing off hydrogen-like amplitudes, so the detected
-    theta distribution carries the solid-angle factor).  ``asymmetry`` is
+    is monotone decreasing off hydrogen, so the detected theta
+    distribution carries the solid-angle factor).  ``asymmetry`` is
     |A(theta)| of the para/perp metric, the profile whose peak tracks the
     interference working point of cat beams.  ``auto`` picks ``asymmetry``
     for cat states and ``rate`` otherwise.

@@ -15,7 +15,8 @@ panel set across its rows; each row must meet its own tolerance, and a
 round splits the boxes holding the largest error-to-tolerance ratio among
 the rows that have not converged yet.  A scalar integrand is the one-row
 case of the same adaptive loop.
-All reductions use ``math.fsum``, the panel bookkeeping is ordered, and no
+Reported values and error estimates are ``math.fsum`` sums (a round's
+convergence test uses numpy's sums), the panel bookkeeping is ordered, and no
 randomness enters anywhere, so two calls with identical inputs return
 bit-identical results.  Everything is pure and reentrant; callers may
 integrate from many threads concurrently.
@@ -355,7 +356,7 @@ def _fsums(a: np.ndarray) -> list[float]:
     return [math.fsum(row) for row in a.tolist()]
 
 
-def _stalled(why: str, err_totals: list[float], tols: list[float], batch: bool) -> NonConvergence:
+def _stalled(why: str, err_totals: np.ndarray, tols: np.ndarray, batch: bool) -> NonConvergence:
     """NonConvergence naming the row furthest above its tolerance."""
     i = max(range(len(tols)), key=lambda k: err_totals[k] / max(tols[k], _TINY))
     row = f", row {i}" if batch else ""
@@ -379,14 +380,12 @@ def _adapt(
     subdivisions = 0
 
     while True:
-        totals = _fsums(values)
-        err_totals = _fsums(errs)
-        tols = [max(spec.abs_tol, spec.rel_tol * abs(t)) for t in totals]
-        act = [i for i, (e, t) in enumerate(zip(err_totals, tols)) if e > t]
-        if not act:
+        err_totals = errs.sum(axis=1)
+        tols = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(values.sum(axis=1)))
+        act = np.flatnonzero(err_totals > tols)
+        if not len(act):
             break
-        err_a = errs[act]
-        tol_a = np.array([tols[i] for i in act])
+        err_a, tol_a = errs[act], tols[act]
 
         # Panel priority: the largest err/tol over the unconverged rows, in
         # units of the largest of their tolerances (plain errors when one
@@ -407,8 +406,7 @@ def _adapt(
         # Split the smallest prefix of worst boxes whose removal would pull
         # every unconverged row's remaining error comfortably under its
         # tolerance.
-        err_tot_a = np.array([err_totals[i] for i in act])
-        remaining = err_tot_a[:, None] - np.cumsum(err_a[:, order], axis=1)
+        remaining = err_totals[act][:, None] - np.cumsum(err_a[:, order], axis=1)
         need = (remaining > 0.45 * tol_a[:, None]).sum(axis=1) + 1
         count = max(1, min(int(need.max()), len(order)))
         budget = spec.max_subdivisions - subdivisions
@@ -443,7 +441,8 @@ def _adapt(
     # integrated magnitude): on panels fine enough for a batch's fastest
     # row, the K15-G7 differences of its smooth rows fall below the
     # floating-point resolution of their sums.
-    err_est = np.array(err_totals) + _ROUNDOFF * np.abs(values).sum(axis=1)
+    totals = _fsums(values)
+    err_est = np.array(_fsums(errs)) + _ROUNDOFF * np.abs(values).sum(axis=1)
     neval = rule.npts * (n_initial + 2 * subdivisions)
     if rows is None:
         return QuadratureResult(totals[0], float(err_est[0]), neval, subdivisions)

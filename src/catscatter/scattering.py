@@ -1,24 +1,25 @@
 """Event densities d nu / d Omega by three mutually validating routes.
 
-For a beam state with Wigner function W, a target column density n(b) and
-a real Born amplitude f, the number of scattering events per solid angle
-is
+For a beam state with Wigner function W, the Gaussian target column
+density n(b) and the Born amplitude f of ground-state hydrogen, the number
+of scattering events per solid angle is
 
     d nu / d Omega = N_e * int d2b d2p  n(b) W(b, p) f(|Q - p|)^2,
 
-where Q - p is the 3-vector (Qperp - p, Qz).  Three evaluation methods are
-provided:
+where Q - p is the 3-vector (Qperp - p, Qz).  Every route uses the
+hydrogen 1s amplitude on the Gaussian target; three evaluation methods
+are provided:
 
 * ``event_density_general``      -- honest 4-D cubature of the formula
-  above over truncated boxes (the brute-force oracle, any state, any
-  amplitude, finite targets only);
+  above over truncated boxes (the brute-force oracle, any state, finite
+  targets only);
 * ``event_density_gaussian`` and ``event_density_cat_quadrature`` -- two
   entry points of one 2-D momentum route: the target integral is done
   analytically (Gaussian convolution), leaving a 2-D momentum quadrature
   of the Gaussian-weighted amplitude, plus a weight * (1 + cos(2 r0 . p))
-  row for the cats; works for any amplitude;
-* ``event_density_cat_closed``   -- hydrogen only: the momentum integral
-  is also done analytically via a Schwinger parameterization, leaving a
+  row for the cats;
+* ``event_density_cat_closed``   -- cats only: the momentum integral is
+  also done analytically via a Schwinger parameterization, leaving a
   single exponentially damped 1-D integral
 
       int_0^inf dx e^{-x g(x)} (x + x^2 + x^3/6) / h(x)
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -152,19 +153,20 @@ def _sigma_sq(state: BeamState, target: TargetProfile) -> float | None:
     return target.sigma_t ** 2 + state.sigma_perp ** 2
 
 
-def _target_weights(state: BeamState, target: TargetProfile):
-    """(Sigma_j^2, bw, off) of a finite target: Sigma_j^2 = sigma_t^2 + sigma_j^2
-    per axis, the displaced-packet weight bw = [E(b0 - r0) + E(b0 + r0)] / 2
-    (the overflow-safe cosh form) and the fringe's offset factor off = E(b0),
-    where E(d) = exp(-sum_j d_j^2 / (2 Sigma_j^2)).
+def _target_weights(state: BeamState, target: TargetProfile) -> tuple[float, float, float]:
+    """(prod_j Sigma_j^2, bw, off) of a finite target: Sigma_j^2 = sigma_t^2 +
+    sigma_j^2 per axis, the displaced-packet weight bw = [E(b0 - r0) +
+    E(b0 + r0)] / 2 (the overflow-safe cosh form) and the fringe's offset
+    factor off = E(b0), where E(d) = exp(-sum_j d_j^2 / (2 Sigma_j^2)).
     """
-    ssq = np.array([target.sigma_t ** 2 + s ** 2 for s in state.widths])
-    b0, r0 = target.b0_vec, state.r0_vec
+    sx2, sy2 = (target.sigma_t ** 2 + s ** 2 for s in state.widths)
+    (b0x, b0y), (r0x, r0y) = target.b0, state.r0_vec.tolist()
 
-    def gauss(d):
-        return math.exp(-(d * d / (2.0 * ssq)).sum())
+    def gauss(dx, dy):
+        return math.exp(-(dx * dx / (2.0 * sx2) + dy * dy / (2.0 * sy2)))
 
-    return ssq, 0.5 * (gauss(b0 - r0) + gauss(b0 + r0)), gauss(b0)
+    return (sx2 * sy2, 0.5 * (gauss(b0x - r0x, b0y - r0y) + gauss(b0x + r0x, b0y + r0y)),
+            gauss(b0x, b0y))
 
 
 def _bracket(cfg: ScatteringConfig, method: str, wide_pref: float, c: float, d: float,
@@ -183,8 +185,8 @@ def _bracket(cfg: ScatteringConfig, method: str, wide_pref: float, c: float, d: 
     if target.wide_limit:
         bw, off, pref = 1.0, 1.0, wide_pref
     else:
-        ssq_j, bw, off = _target_weights(state, target)
-        pref = cfg.n_e * c / (d * math.sqrt(ssq_j.prod()))
+        ssq_prod, bw, off = _target_weights(state, target)
+        pref = cfg.n_e * c / (d * math.sqrt(ssq_prod))
     norm = 1.0 + sign * state.packet_overlap
     c_one = bw - sign * off
     value = pref * (c_one * t_one + sign * off * t_sum) / norm
@@ -199,9 +201,7 @@ def _bracket(cfg: ScatteringConfig, method: str, wide_pref: float, c: float, d: 
 # ---------------------------------------------------------------------------
 
 
-def _momentum_density(
-    cfg: ScatteringConfig, kin: Kinematics, amplitude: Callable | None
-) -> EventDensity:
+def _momentum_density(cfg: ScatteringConfig, kin: Kinematics) -> EventDensity:
     """d nu / d Omega from :func:`_bracket` with the momentum integrals
 
         t_one = int d2q f(|Q - q|)^2 exp(-2 (sigma_x^2 q_x^2 + sigma_y^2 q_y^2)),
@@ -213,7 +213,6 @@ def _momentum_density(
     fringe (sign = parity = 0) and integrate t_one alone.
     """
     state = cfg.state
-    amplitude = amplitude or hydrogen_amplitude
     spec = cfg.quad or DEFAULT_SPEC_2D
     sx, sy = state.widths
     mt = momentum_transfer(kin)
@@ -226,7 +225,7 @@ def _momentum_density(
 
     def weighted_f2(qx, qy):
         q = np.sqrt((qx0 - qx) ** 2 + (qy0 - qy) ** 2 + qz2)
-        amp = amplitude(q)
+        amp = hydrogen_amplitude(q)
         return amp * amp * np.exp(wx * qx * qx + wy * qy * qy)
 
     if state.parity:
@@ -246,11 +245,7 @@ def _momentum_density(
                     t[0], e[0], t[-1], e[-1])[0]
 
 
-def event_density_gaussian(
-    cfg: ScatteringConfig,
-    kin: Kinematics,
-    amplitude: Callable | None = None,
-) -> EventDensity:
+def event_density_gaussian(cfg: ScatteringConfig, kin: Kinematics) -> EventDensity:
     """Event density for the round Gaussian packet, and its anisotropic
     generalization, by 2-D momentum quadrature.
 
@@ -264,27 +259,22 @@ def event_density_gaussian(
         raise UnsupportedVariant(
             f"event_density_gaussian expects a gaussian-like state, got {cfg.state.variant}"
         )
-    return _momentum_density(cfg, kin, amplitude)
+    return _momentum_density(cfg, kin)
 
 
-def event_density_cat_quadrature(
-    cfg: ScatteringConfig,
-    kin: Kinematics,
-    amplitude: Callable | None = None,
-) -> EventDensity:
+def event_density_cat_quadrature(cfg: ScatteringConfig, kin: Kinematics) -> EventDensity:
     """Event density for the two-packet states by 2-D momentum quadrature.
 
     The bracket multiplying the Gaussian-weighted amplitude is the
     displaced-packet weight plus (cats) or without (incoherent pair) the
     interference fringe ``cos(2 r0 . p)``, integrated as a weight *
-    (1 + fringe) row.  Any real amplitude may be supplied; hydrogen is the
-    default.
+    (1 + fringe) row.
     """
     if cfg.state.variant not in (EVEN_CAT, ODD_CAT, INCOHERENT_PAIR):
         raise UnsupportedVariant(
             f"event_density_cat_quadrature expects a two-packet state, got {cfg.state.variant}"
         )
-    return _momentum_density(cfg, kin, amplitude)
+    return _momentum_density(cfg, kin)
 
 
 # ---------------------------------------------------------------------------
@@ -373,26 +363,18 @@ def _cat_closed_batch(cfg: ScatteringConfig, kins: list[Kinematics]) -> list[Eve
 # ---------------------------------------------------------------------------
 
 
-def event_density_general(
-    cfg: ScatteringConfig,
-    kin: Kinematics,
-    amplitude: Callable | None = None,
-    density: Callable | None = None,
-) -> EventDensity:
+def event_density_general(cfg: ScatteringConfig, kin: Kinematics) -> EventDensity:
     """Event density by direct 4-D cubature of n(b) W(b,p) f(|Q-p|)^2.
 
-    Works for every state variant and any amplitude, but needs a finite
-    target (the wide limit is analytic, not pointwise).  ``density`` may
-    override the Gaussian target profile with any normalized column
-    density n(b); only this brute-force route supports custom targets.
-    The position box is the Wigner support (six widths around the packet
-    centers) clipped against the target support; the momentum box is four
-    inverse widths with fringe-resolving initial panels.
+    Works for every state variant, but needs a finite target (the wide
+    limit is analytic, not pointwise).  The position box is the Wigner
+    support (six widths around the packet centers) clipped against the
+    target support; the momentum box is four inverse widths with
+    fringe-resolving initial panels.
     """
     state, target = cfg.state, cfg.target
     if target.wide_limit:
         raise ValueError("event_density_general requires a finite target")
-    amplitude = amplitude or hydrogen_amplitude
     spec = cfg.quad or DEFAULT_SPEC_4D
     mt = momentum_transfer(kin)
     qx0, qy0 = mt.qperp
@@ -408,18 +390,14 @@ def event_density_general(
 
     bx, by, px, py = phase_space_box(state.widths, state.r0_vec, 6.0, 4.0)
     box = [clip(bx, b0x), clip(by, b0y), px, py]
-
-    if density is None:
-        st2 = 2.0 * st * st
-
-        def density(ux, uy):  # noqa: F811 - default Gaussian profile
-            return np.exp(-((ux - b0x) ** 2 + (uy - b0y) ** 2) / st2) / (math.pi * st2)
+    st2 = 2.0 * st * st
 
     def integrand(ux, uy, pxa, pya):
         w = wigner_values(state, ux, uy, pxa, pya)
         q = np.sqrt((qx0 - pxa) ** 2 + (qy0 - pya) ** 2 + qz * qz)
-        amp = amplitude(q)
-        return density(ux, uy) * w * amp * amp
+        amp = hydrogen_amplitude(q)
+        n = np.exp(-((ux - b0x) ** 2 + (uy - b0y) ** 2) / st2) / (math.pi * st2)
+        return n * w * amp * amp
 
     res = integrate_nd(integrand, box, spec, initial_splits=phase_space_panels(state, box))
     value = cfg.n_e * res.value
@@ -437,42 +415,35 @@ def event_density_general(
 # ---------------------------------------------------------------------------
 
 
-def _pick_method(cfg: ScatteringConfig, method: str, amplitude: Callable | None) -> str:
-    """``auto``: the hydrogen closed form for cat states without a custom
-    amplitude, the 2-D momentum quadrature otherwise."""
+def _pick_method(cfg: ScatteringConfig, method: str) -> str:
+    """``auto``: the closed form for cat states, the 2-D momentum
+    quadrature otherwise."""
     if method == "auto":
-        return CLOSED_FORM if cfg.state.is_cat and amplitude is None else QUADRATURE_2D
+        return CLOSED_FORM if cfg.state.is_cat else QUADRATURE_2D
     if method not in (GENERAL_4D, QUADRATURE_2D, CLOSED_FORM):
         raise ValueError(f"unknown method {method!r}")
     return method
 
 
-def event_density(
-    cfg: ScatteringConfig,
-    kin: Kinematics,
-    method: str = "auto",
-    amplitude: Callable | None = None,
-) -> EventDensity:
+def event_density(cfg: ScatteringConfig, kin: Kinematics, method: str = "auto") -> EventDensity:
     """Evaluate d nu / d Omega with the natural method for the state.
 
-    ``auto`` picks the hydrogen closed form for cat states (unless a
-    custom amplitude is given) and the 2-D quadrature otherwise.
+    Every method uses the hydrogen 1s amplitude on the Gaussian target;
+    ``auto`` picks the closed form for cat states and the 2-D quadrature
+    otherwise.
     """
-    method = _pick_method(cfg, method, amplitude)
+    method = _pick_method(cfg, method)
     if method == GENERAL_4D:
-        return event_density_general(cfg, kin, amplitude)
+        return event_density_general(cfg, kin)
     if method == CLOSED_FORM:
         return event_density_cat_closed(cfg, kin)
     if cfg.state.variant in (GAUSSIAN, ANISOTROPIC):
-        return event_density_gaussian(cfg, kin, amplitude)
-    return event_density_cat_quadrature(cfg, kin, amplitude)
+        return event_density_gaussian(cfg, kin)
+    return event_density_cat_quadrature(cfg, kin)
 
 
 def event_densities(
-    cfg: ScatteringConfig,
-    kins: Sequence[Kinematics],
-    method: str = "auto",
-    amplitude: Callable | None = None,
+    cfg: ScatteringConfig, kins: Sequence[Kinematics], method: str = "auto"
 ) -> list[EventDensity]:
     """:func:`event_density` for many kinematics sharing ``cfg``, in order.
 
@@ -488,9 +459,9 @@ def event_densities(
     values within their error estimates.  Other methods run per point.
     """
     kins = list(kins)
-    method = _pick_method(cfg, method, amplitude)
+    method = _pick_method(cfg, method)
     if method != CLOSED_FORM:
-        return [event_density(cfg, k, method, amplitude) for k in kins]
+        return [event_density(cfg, k, method) for k in kins]
     out: list[EventDensity] = []
     for i in range(0, len(kins), _BATCH_KINEMATICS):
         out += _cat_closed_batch(cfg, kins[i:i + _BATCH_KINEMATICS])

@@ -73,12 +73,13 @@ def test_rotation_covariance():
     assert res.A == pytest.approx(base.A, rel=1e-10, abs=1e-14)
 
 
-def test_degenerate_denominator():
+def test_degenerate_denominator(monkeypatch):
+    monkeypatch.setattr("catscatter.scattering.hydrogen_amplitude", np.zeros_like)
     with pytest.raises(DegenerateDenominator):
         azimuthal_asymmetry(AsymmetrySpec(
             cfg=ScatteringConfig(state=BeamState.even_cat(2.0, 4.0), target=WIDE),
             kin_base=Kinematics.elastic(10.0, 10.0 * DEG),
-            phi_grid_n=8, amplitude=lambda q: np.zeros_like(q)))
+            phi_grid_n=8, method="quadrature2d"))
 
 
 def test_phi_scan_contains_reference_azimuths():

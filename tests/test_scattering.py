@@ -18,7 +18,7 @@ from catscatter.scattering import (
     event_density_general,
     validity_check,
 )
-from catscatter.states import BeamState
+from catscatter.states import BeamState, wigner_values
 from catscatter.targets import Kinematics, TargetProfile, hydrogen_amplitude
 
 DEG = math.pi / 180.0
@@ -159,18 +159,18 @@ def test_general4d_gaussian_vs_analytic_route():
     assert g.value == pytest.approx(q.value, rel=1e-3)
 
 
-def test_negative_total_guard_fires_on_unphysical_density():
-    # A sign-flipping "density" is not a physical column density; the
-    # nonnegativity guard on the brute-force total must trip.
+def test_negative_total_guard_fires_on_unphysical_density(monkeypatch):
+    # A sign-flipped Wigner function gives an unphysical, negative total;
+    # the nonnegativity guard on the brute-force total must trip.
     from catscatter.errors import NegativeTotal
 
+    monkeypatch.setattr("catscatter.scattering.wigner_values",
+                        lambda *a: -wigner_values(*a))
     state = BeamState.gaussian(2.0)
     target = TargetProfile.gaussian(20.0)
     kin = Kinematics.elastic(10.0, 10.0 * DEG, 0.0)
     with pytest.raises(NegativeTotal):
-        event_density_general(
-            ScatteringConfig(state, target), kin,
-            density=lambda bx, by: -np.exp(-(bx ** 2 + by ** 2) / 800.0))
+        event_density_general(ScatteringConfig(state, target), kin)
 
 
 def test_general4d_mixture_vs_quadrature2d():
@@ -373,7 +373,6 @@ def test_dispatch_and_preconditions():
     kin = Kinematics.elastic(10.0, 10.0 * DEG, 0.0)
     cfg = wide_cfg(BeamState.even_cat(2.0, 4.0))
     assert event_density(cfg, kin).method == "closed_form"
-    assert event_density(cfg, kin, amplitude=lambda q: np.exp(-q * q)).method == "quadrature2d"
     gcfg = wide_cfg(BeamState.gaussian(2.0))
     assert event_density(gcfg, kin).method == "quadrature2d"
     with pytest.raises(UnsupportedVariant):
