@@ -269,7 +269,8 @@ def peak_theta(
     for cat states and ``rate`` otherwise.
 
     The grid must cover [1 deg, 45 deg] with at least 50 points (default
-    90); the location is refined by a local parabolic fit.
+    90); the location is refined by a local parabolic fit.  The whole
+    profile is one :func:`event_densities` call.
     """
     if theta_grid is None:
         theta_grid = np.linspace(math.radians(1.0), math.radians(45.0), 90)
@@ -283,10 +284,10 @@ def peak_theta(
 
     phi0 = cfg.state.phi_r0
     phis = (phi0,) if profile == "rate" else (phi0, phi0 + 0.5 * math.pi)
-    vals = np.empty_like(th)
-    for k, theta in enumerate(th):
-        eds = event_densities(cfg, [Kinematics(p_i, p_i, float(theta), phi) for phi in phis],
-                              method=method)
-        vals[k] = (math.sin(theta) * eds[0].value if profile == "rate"
-                   else abs(_para_perp(eds[0].value, eds[1].value)))
+    eds = event_densities(cfg, [Kinematics(p_i, p_i, float(theta), phi)
+                                for theta in th for phi in phis], method=method)
+    if profile == "rate":
+        vals = [math.sin(theta) * ed.value for theta, ed in zip(th, eds)]
+    else:
+        vals = [abs(_para_perp(par.value, perp.value)) for par, perp in zip(eds[::2], eds[1::2])]
     return find_peak(th, vals)

@@ -21,13 +21,14 @@ randomness enters anywhere, so two calls with identical inputs return
 bit-identical results.  Everything is pure and reentrant; callers may
 integrate from many threads concurrently.
 
-Every bound of a domain is finite; a caller with a decaying tail truncates
-it where the dropped part is below tolerance.  Integrands must be
-vectorized: ``f`` receives one ``numpy`` array per coordinate and returns
-an array of the same shape, or of shape ``(B, *shape)`` for a batch of
-``B`` integrands.  The first evaluation fixes which of the two it is; any
-other output shape, then or later, is a ``ValueError``.  A callable that
-rejects arrays (``math.exp``) raises its own error.
+Every bound of a domain is finite; a caller with a decaying tail maps it
+onto a finite domain or truncates it where the dropped part is below
+tolerance.  Integrands must be vectorized: ``f`` receives one ``numpy``
+array per coordinate and returns an array of the same shape, or of shape
+``(B, *shape)`` for a batch of ``B`` integrands.  The first evaluation
+fixes which of the two it is; any other output shape, then or later, is a
+``ValueError``.  A callable that rejects arrays (``math.exp``) raises its
+own error.
 """
 
 from __future__ import annotations

@@ -20,14 +20,17 @@ are provided:
   row for the cats;
 * ``event_density_cat_closed``   -- cats only: the momentum integral is
   also done analytically via a Schwinger parameterization, leaving a
-  single exponentially damped 1-D integral
+  single exponentially damped 1-D integral over the Schwinger parameter
+  x in [0, inf).  The map u = s8 x / (1 + s8 x), with s8 = 1/(8 s^2), takes
+  it onto [0, 1):
 
-      int_0^inf dx e^{-x g(x)} (x + x^2 + x^3/6) / h(x)
+      int_0^1 du e^{-x g(u)} (x + x^2 + x^3/6) / (s8 (1 - u))
           * [ displaced-packet weight
-              +/- cos(2 r0.pf * fringe_scale(x)) * exp(-r0^2/(2 s^2 h(x))) ]
+              +/- cos(2 r0.Qperp u) * exp(-r0^2 (1 - u) / (2 s^2)) ]
 
-  with h(x) = 1 + x/(8 s^2), fringe_scale = (h-1)/h, and
-  g(x) = 1 + (Qz^2 + Qperp^2 / h(x)) / 4 >= 1 for all kinematics.
+  with x = u / (s8 (1 - u)) and g(u) = 1 + (Qz^2 + Qperp^2 (1 - u)) / 4 >= 1
+  for all kinematics.  The fringe phase is linear in u, and the integrand
+  vanishes with all its derivatives as u -> 1, so nothing is truncated.
 
   ``event_densities`` evaluates a whole list of kinematics (a phi scan, a
   theta x phi grid) as one vector-valued integral on a shared panel set.
@@ -286,9 +289,9 @@ def event_density_cat_closed(cfg: ScatteringConfig, kin: Kinematics) -> EventDen
     """Cat-state event density off hydrogen via the 1-D closed form.
 
     The momentum integral is carried out analytically for the hydrogen
-    amplitude, leaving one exponentially damped integral over the
-    Schwinger parameter x.  This is the one-kinematics case of
-    :func:`event_densities`, which documents the truncation and panels.
+    amplitude, leaving one exponentially damped integral, taken over
+    u = s8 x / (1 + s8 x) in [0, 1) (see the module docstring).  This is
+    the one-kinematics case of :func:`event_densities`.
     """
     return _cat_closed_batch(cfg, [kin])[0]
 
@@ -320,40 +323,33 @@ def _cat_closed_batch(cfg: ScatteringConfig, kins: list[Kinematics]) -> list[Eve
         row_of[j] = group[key]
     qz_w, qp_w = np.array(qz_w), np.array(qp_w)
     fringe_arg = np.array([
-        2.0 * state.r0 * qp_w[u] * math.cos(state.phi_r0 - kin.phi)
-        for u, kin in zip(row_of, kins)
+        2.0 * state.r0 * qp_w[r] * math.cos(state.phi_r0 - kin.phi)
+        for r, kin in zip(row_of, kins)
     ])
-
-    g_inf = 1.0 + beta * qz_w ** 2
-    eps = spec.abs_tol / 10.0 if spec.abs_tol > 0 else 1e-16
-    x_max = float(np.max(-math.log(eps) / g_inf + 40.0))
-    base = max(8, math.ceil(x_max / 10.0))
-    # Four times the fringe's rate: panels of pi/8 of phase.  Coarser initial
-    # panels here cost more adaptive rounds than the abscissae they save
-    # (16-phi r0 sweeps ran about 15 % slower at pi/2); the power-of-two
-    # factor keeps the panel count exact.
-    osc = oscillation_panels(x_max, float(np.max(np.abs(fringe_arg))) * s8 * 4.0)
 
     n_w = len(qz_w)
     qz2, qp2 = (qz_w ** 2)[:, None, None], (qp_w ** 2)[:, None, None]
     fa = fringe_arg[:, None, None]
     pick = row_of if n_w > 1 else slice(None)  # a lone weight row broadcasts
 
-    def rows(x):
-        h = 1.0 + s8 * x
-        g = 1.0 + beta * (qz2 + qp2 / h)
-        out = np.empty((n_w + len(kins),) + x.shape)
+    def rows(u):
+        v = 1.0 - u
+        jac = s8 * v
+        x = u / jac
+        g = 1.0 + beta * (qz2 + qp2 * v)
+        out = np.empty((n_w + len(kins),) + u.shape)
         weight = out[:n_w]
-        np.multiply(np.exp(-x * g), (x + x * x + x ** 3 / 6.0) / h, out=weight)
-        damped = weight * np.exp(-c_sep / h)
+        np.multiply(np.exp(-x * g), (x + x * x + x ** 3 / 6.0) / jac, out=weight)
+        damped = weight * np.exp(-c_sep * v)
         fringe = out[n_w:]
-        np.multiply(fa, s8 * x / h, out=fringe)
+        np.multiply(fa, u, out=fringe)
         np.cos(fringe, out=fringe)
         fringe *= damped[pick]
         fringe += weight[pick]
         return out
 
-    res = integrate_1d(rows, Interval(0.0, x_max), spec, initial_panels=max(base, osc))
+    res = integrate_1d(rows, Interval(0.0, 1.0), spec,
+                       initial_panels=oscillation_panels(1.0, float(np.max(np.abs(fringe_arg)))))
     return _bracket(cfg, CLOSED_FORM, beta, beta, 2.0 * math.pi,
                     res.value[row_of], res.err_est[row_of], res.value[n_w:], res.err_est[n_w:])
 
@@ -450,11 +446,9 @@ def event_densities(
     The closed form integrates up to 64 kinematics at a time as one
     vector-valued integral on a shared panel set: one phi-free weight row
     per distinct (p_i, p_f, theta) plus one fringe row per kinematics,
-    each row meeting the tolerance on its own.  The semi-infinite domain
-    is truncated at ``x_max = -ln(eps) / g_inf + 40``, the largest over the
-    rows (g_inf >= 1 the x -> inf decay rate), which bounds the dropped
-    tail analytically far below tolerance; the fastest fringe fixes the
-    initial panelization.  Results are
+    each row meeting the tolerance on its own.  Every row lives on u in
+    [0, 1), and the fastest fringe fixes the initial panels at pi/2 of
+    phase each.  A whole theta profile is one call.  Results are
     deterministic for a given list, and agree with the one-at-a-time
     values within their error estimates.  Other methods run per point.
     """

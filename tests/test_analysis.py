@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from catscatter import analysis
 from catscatter.analysis import (
     AsymmetrySpec,
     _phi_grid,
@@ -13,7 +14,7 @@ from catscatter.analysis import (
     sweep,
 )
 from catscatter.errors import DegenerateDenominator, FlatDistribution, TooFewPoints
-from catscatter.scattering import ScatteringConfig
+from catscatter.scattering import ScatteringConfig, event_densities, event_density
 from catscatter.states import BeamState
 from catscatter.targets import Kinematics, TargetProfile
 
@@ -231,6 +232,40 @@ def test_cat_asymmetry_peak_tracks_reported_angles():
     pk10 = peak_theta(cfg, 10.0)
     assert 3.0 * DEG <= pk30.theta_star <= 7.0 * DEG
     assert 8.0 * DEG <= pk10.theta_star <= 14.0 * DEG
+
+
+@pytest.mark.parametrize("target", [WIDE, TargetProfile.gaussian(20.0, (1.0, -2.0))])
+def test_peak_theta_profile_is_one_batch(monkeypatch, target):
+    # The whole asymmetry profile is one event_densities call, and each of
+    # its values agrees with a call per theta within the summed err_est.
+    cfg = ScatteringConfig(BeamState.odd_cat(2.0, 3.0, phi_r0=0.4), target)
+    calls = []
+
+    def recording(cfg_, kins, method="auto"):
+        eds = event_densities(cfg_, kins, method=method)
+        calls.append((kins, eds))
+        return eds
+
+    monkeypatch.setattr(analysis, "event_densities", recording)
+    pk = peak_theta(cfg, 20.0)
+    assert len(calls) == 1
+    kins, batch = calls[0]
+    th = np.linspace(math.radians(1.0), math.radians(45.0), 90)
+    assert [k.theta for k in kins] == np.repeat(th, 2).tolist()
+    per_theta = [ed for j in range(0, len(kins), 2) for ed in event_densities(cfg, kins[j:j + 2])]
+    for b, one in zip(batch, per_theta):
+        assert abs(b.value - one.value) <= b.err_est + one.err_est
+    profile = [abs((perp.value - par.value) / (perp.value + par.value))
+               for par, perp in zip(per_theta[::2], per_theta[1::2])]
+    assert abs(find_peak(th, profile).theta_star - pk.theta_star) <= 1e-6
+
+
+def test_peak_theta_quadrature2d_rate_profile_matches_point_loop():
+    cfg = ScatteringConfig(BeamState.gaussian(2.0), TargetProfile.gaussian(20.0, (1.0, -2.0)))
+    th = np.linspace(math.radians(1.0), math.radians(45.0), 90)
+    vals = [math.sin(t) * event_density(cfg, Kinematics(20.0, 20.0, float(t), 0.0),
+                                        method="quadrature2d").value for t in th]
+    assert peak_theta(cfg, 20.0, method="quadrature2d") == find_peak(th, vals)
 
 
 def test_peak_theta_grid_contract():

@@ -206,8 +206,9 @@ def test_wigner_normalization(state):
 
 
 def test_oblique_separated_cat_normalization_panels():
-    # A well-separated oblique cat: fringe panels of pi/8 of phase asked
-    # for [9, 7, 117, 37] initial boxes (15.5 M abscissae, over 1 GB).
+    # A well-separated oblique cat: each momentum axis gets the fewest
+    # panels holding at most pi/2 of fringe phase, ceil(2 |r0_j| * 6 / (pi/2)),
+    # and the normalization converges from them.
     state = BeamState.odd_cat(1.5, 4.0, phi_r0=0.3)
     box = phase_space_box(state.widths, state.r0_vec, 6.0, 4.5)
     assert phase_space_panels(state, box) == [9, 7, 30, 10]
