@@ -305,15 +305,10 @@ def _rule_for(ndim: int):
 # ---------------------------------------------------------------------------
 
 
-def _initial_boxes(box: Sequence[Interval], splits: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    edges = [
-        np.linspace(iv.lo, iv.hi, n + 1) for iv, n in zip(box, splits)
-    ]
-    los = np.meshgrid(*[e[:-1] for e in edges], indexing="ij")
-    his = np.meshgrid(*[e[1:] for e in edges], indexing="ij")
-    lo = np.stack([a.ravel() for a in los], axis=-1)
-    hi = np.stack([a.ravel() for a in his], axis=-1)
-    return lo, hi
+def _initial_boxes(edges: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    def corners(sides):
+        return np.stack([a.ravel() for a in np.meshgrid(*sides, indexing="ij")], axis=-1)
+    return corners([e[:-1] for e in edges]), corners([e[1:] for e in edges])
 
 
 def _evaluate(f: Callable, rule, lo: np.ndarray, hi: np.ndarray,
@@ -364,18 +359,14 @@ def _stalled(why: str, err_totals: np.ndarray, tols: np.ndarray, batch: bool) ->
     return NonConvergence(f"{why} (err={err_totals[i]:.3e}, tol={tols[i]:.3e}{row})")
 
 
-def _adapt(
-    f: Callable,
-    box: Sequence[Interval],
-    spec: QuadratureSpec,
-    initial_splits: Sequence[int],
-) -> QuadratureResult:
-    rule = _rule_for(len(box))
-    n_initial = math.prod(initial_splits)
+def _adapt(f: Callable, edges: Sequence[np.ndarray], spec: QuadratureSpec) -> QuadratureResult:
+    rule = _rule_for(len(edges))
+    splits = [len(e) - 1 for e in edges]
+    n_initial = math.prod(splits)
     if n_initial * rule.npts > _MAX_ABSCISSAE:
-        raise ValueError(f"initial_splits={list(initial_splits)} need {n_initial} boxes x "
+        raise ValueError(f"initial_splits={splits} need {n_initial} boxes x "
                          f"{rule.npts} abscissae, over the cap of {_MAX_ABSCISSAE}")
-    lo, hi = _initial_boxes(box, initial_splits)
+    lo, hi = _initial_boxes(edges)
     # values, errs: (rows, nbox); scores: (nbox, d)
     values, errs, scores, rows = _evaluate(f, rule, lo, hi, None, first=True)
     subdivisions = 0
@@ -460,7 +451,7 @@ def integrate_1d(
     domain: Interval,
     spec: QuadratureSpec | None = None,
     *,
-    initial_panels: int = 1,
+    initial_panels: int | Sequence[float] = 1,
 ) -> QuadratureResult:
     """Adaptively integrate ``f`` over a finite interval.
 
@@ -476,8 +467,9 @@ def integrate_1d(
     spec : QuadratureSpec, optional
         Tolerances; defaults to ``DEFAULT_SPEC_1D``.  Each row of a batch
         must meet ``err_i <= max(abs_tol, rel_tol * |value_i|)`` on its own.
-    initial_panels : int
-        Uniform panelization before refinement starts.  Use
+    initial_panels : int or sequence of float
+        Panels before refinement starts: a count of uniform panels, or
+        their edges, increasing from ``domain.lo`` to ``domain.hi``.  Use
         :func:`oscillation_panels` for integrands carrying a fast cosine;
         it holds each panel to pi/2 of its phase.
 
@@ -495,10 +487,15 @@ def integrate_1d(
     NonFiniteIntegrand
         ``f`` produced NaN or infinity.
     ValueError
-        ``f`` returned an array of the wrong shape, or the initial panels
+        ``f`` returned an array of the wrong shape, panel edges that do not
+        increase from ``domain.lo`` to ``domain.hi``, or initial panels that
         would need more than 2**24 abscissae.
     """
-    return _adapt(f, [domain], spec or DEFAULT_SPEC_1D, [max(1, initial_panels)])
+    edges = (np.linspace(domain.lo, domain.hi, max(1, initial_panels) + 1)
+             if np.ndim(initial_panels) == 0 else np.asarray(initial_panels, dtype=float))
+    if edges[0] != domain.lo or edges[-1] != domain.hi or (np.diff(edges) <= 0).any():
+        raise ValueError(f"panel edges must increase from {domain.lo} to {domain.hi}")
+    return _adapt(f, [edges], spec or DEFAULT_SPEC_1D)
 
 
 def integrate_nd(
@@ -527,4 +524,5 @@ def integrate_nd(
         initial_splits = [1] * ndim
     if len(initial_splits) != ndim:
         raise ValueError("initial_splits length must match box dimension")
-    return _adapt(f, box, spec, [max(1, int(n)) for n in initial_splits])
+    return _adapt(f, [np.linspace(iv.lo, iv.hi, max(1, int(n)) + 1)
+                      for iv, n in zip(box, initial_splits)], spec)

@@ -302,7 +302,6 @@ def _cat_closed_batch(cfg: ScatteringConfig, kins: list[Kinematics]) -> list[Eve
         raise UnsupportedVariant(
             f"event_density_cat_closed expects a cat state, got {state.variant}"
         )
-    spec = cfg.quad or DEFAULT_SPEC_1D
     sp = state.sigma_perp
     beta = 0.25
     s8 = 1.0 / (8.0 * sp ** 2)
@@ -322,14 +321,11 @@ def _cat_closed_batch(cfg: ScatteringConfig, kins: list[Kinematics]) -> list[Eve
             qp_w.append(mt.qperp_mag)
         row_of[j] = group[key]
     qz_w, qp_w = np.array(qz_w), np.array(qp_w)
-    fringe_arg = np.array([
-        2.0 * state.r0 * qp_w[r] * math.cos(state.phi_r0 - kin.phi)
-        for r, kin in zip(row_of, kins)
-    ])
+    phis = np.array([kin.phi for kin in kins])
 
     n_w = len(qz_w)
     qz2, qp2 = (qz_w ** 2)[:, None, None], (qp_w ** 2)[:, None, None]
-    fa = fringe_arg[:, None, None]
+    fa = (2.0 * state.r0 * qp_w[row_of] * np.cos(state.phi_r0 - phis))[:, None, None]
     pick = row_of if n_w > 1 else slice(None)  # a lone weight row broadcasts
 
     def rows(u):
@@ -348,8 +344,13 @@ def _cat_closed_batch(cfg: ScatteringConfig, kins: list[Kinematics]) -> list[Eve
         fringe += weight[pick]
         return out
 
-    res = integrate_1d(rows, Interval(0.0, 1.0), spec,
-                       initial_panels=oscillation_panels(1.0, float(np.max(np.abs(fringe_arg)))))
+    # Panels of pi/2 of fringe phase.  A weight peaks near u = 3 s8 / g(0),
+    # where for 8 sigma^2 g(0) >> 1 all abscissae of one panel could underflow
+    # to zero: the first panel is halved down to the narrowest width s8 / g(0).
+    edges = np.linspace(0.0, 1.0, oscillation_panels(1.0, float(np.abs(fa).max())) + 1)
+    halvings = math.ceil(math.log2(edges[1] * (1.0 + beta * float((qz2 + qp2).max())) / s8))
+    edges = np.concatenate([[0.0], edges[1] * 2.0 ** -np.arange(halvings, 0, -1), edges[1:]])
+    res = integrate_1d(rows, Interval(0.0, 1.0), cfg.quad or DEFAULT_SPEC_1D, initial_panels=edges)
     return _bracket(cfg, CLOSED_FORM, beta, beta, 2.0 * math.pi,
                     res.value[row_of], res.err_est[row_of], res.value[n_w:], res.err_est[n_w:])
 
@@ -448,9 +449,10 @@ def event_densities(
     per distinct (p_i, p_f, theta) plus one fringe row per kinematics,
     each row meeting the tolerance on its own.  Every row lives on u in
     [0, 1), and the fastest fringe fixes the initial panels at pi/2 of
-    phase each.  A whole theta profile is one call.  Results are
-    deterministic for a given list, and agree with the one-at-a-time
-    values within their error estimates.  Other methods run per point.
+    phase each, the first halved down to the narrowest weight's width.  A
+    whole theta profile is one call.  Results are deterministic for a given
+    list, and agree with the one-at-a-time values within their error
+    estimates.  Other methods run per point.
     """
     kins = list(kins)
     method = _pick_method(cfg, method)

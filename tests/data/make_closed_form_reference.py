@@ -15,8 +15,9 @@ catscatter.  The integral is taken over the Schwinger parameter x itself,
 
 with h = 1 + x / (8 sigma^2), g = 1 + (Qz^2 + Qperp^2 / h) / 4, parity
 s = +1 (even) or -1 (odd) and packet overlap ov = exp(-r0^2 / (2 sigma^2)).
-``mp.quad`` splits the domain at 0, 1, 4, 16, 64 and infinity, and
-further wherever the fringe phase crosses a multiple of pi/2.  Neither a
+``mp.quad`` splits the domain at 0, 1, 4, 16, 64 and infinity, at the same
+multiples of the weight's width 1 / g(0), and wherever the fringe phase
+crosses a multiple of pi/2.  Neither a
 truncation point nor a change of variables is shared with the library.  On a wide
 target bw = off = 1 and pref = 1/4; on a finite target of width sigma_t
 and offset b0, Sigma^2 = sigma_t^2 + sigma^2, E(d) = exp(-|d|^2 /
@@ -50,6 +51,22 @@ FIXED = [
     dict(parity=s, sigma_perp=0.3, r0=3.0, phi_r0=0.4, target=t,
          p=30.0, theta=0.5, phi=1.0)
     for s in (1, -1) for t in (None, [20.0, 0.0, 0.0])
+] + [
+    # No fringe phase (r0 = 0, or phi perpendicular to the separation) on
+    # wide packets with a large momentum transfer: the weight is narrow on
+    # the scale 1/(8 sigma^2) of the Schwinger parameter.  The test also
+    # evaluates each family sharing a state and target as one batch.
+    dict(parity=1, sigma_perp=5.0, r0=0.0, phi_r0=0.0, target=None,
+         p=40.0, theta=theta, phi=0.0)
+    for theta in (0.05, 0.5, 3.0)
+] + [
+    dict(parity=-1, sigma_perp=50.0, r0=50.0, phi_r0=0.0, target=None,
+         p=10.0, theta=theta, phi=math.pi / 2)
+    for theta in (0.01, math.radians(45.0), 2.5)
+] + [
+    dict(parity=1, sigma_perp=20.0, r0=0.0, phi_r0=0.0, target=t,
+         p=30.0, theta=math.radians(30.0), phi=0.0)
+    for t in (None, [30.0, 5.0, -3.0])
 ]
 
 
@@ -103,7 +120,9 @@ def reference(pt: dict) -> mp.mpf:
     quarters = int(abs(fringe) / (mp.pi / 2))
     u_k = [k * mp.pi / 2 / abs(fringe) for k in range(1, quarters + 1)]
     x_k = [u / (s8 * (1 - u)) for u in u_k]
-    points = sorted(set(BREAKS) | set(x_k)) + [mp.inf]
+    # The weight e^{-x g} x^3 peaks near x = 3 / g(0).
+    g0 = 1 + (qz ** 2 + qp ** 2) / 4
+    points = sorted(set(BREAKS) | {b / g0 for b in BREAKS[1:]} | set(x_k)) + [mp.inf]
     overlap = mp.exp(-c_sep)
     return pref * mp.quad(f, points) / (1 + s * overlap)
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from catscatter import BeamState, Kinematics, ScatteringConfig, TargetProfile
-from catscatter.scattering import event_density_cat_closed
+from catscatter.scattering import event_densities, event_density_cat_closed
 
 DATA = Path(__file__).parent / "data" / "closed_form_reference.json"
 
@@ -25,13 +25,13 @@ def _config(pt: dict) -> ScatteringConfig:
     return ScatteringConfig(state, TargetProfile.gaussian(sigma_t, (b0x, b0y)))
 
 
-def test_closed_form_err_est_bounds_reference_error():
-    points = json.loads(DATA.read_text())["points"]
-    assert len(points) >= 300
+def _kinematics(pt: dict) -> Kinematics:
+    return Kinematics.elastic(pt["p"], pt["theta"], pt["phi"])
+
+
+def _assert_bounded(pairs):
     worst = (0.0, None)
-    for pt in points:
-        ed = event_density_cat_closed(_config(pt), Kinematics.elastic(pt["p"], pt["theta"],
-                                                                      pt["phi"]))
+    for ed, pt in pairs:
         assert math.isfinite(ed.value) and ed.err_est > 0
         # Exact rational arithmetic: the float result and its bound against
         # the decimal reference, with no rounding of the difference.
@@ -39,3 +39,24 @@ def test_closed_form_err_est_bounds_reference_error():
         if miss > worst[0]:
             worst = (miss, pt)
     assert worst[0] <= 1, f"|value - reference| = {float(worst[0]):.3g} err_est at {worst[1]}"
+
+
+def test_closed_form_err_est_bounds_reference_error():
+    points = json.loads(DATA.read_text())["points"]
+    assert len(points) >= 300
+    _assert_bounded((event_density_cat_closed(_config(pt), _kinematics(pt)), pt)
+                    for pt in points)
+
+
+def test_closed_form_batch_err_est_bounds_reference_error():
+    # Points sharing a state and a target, evaluated as one batch: rows of
+    # different momentum transfer share one panel set.
+    groups: dict[str, list[dict]] = {}
+    for pt in json.loads(DATA.read_text())["points"]:
+        key = json.dumps({k: v for k, v in pt.items() if k not in ("p", "theta", "phi",
+                                                                     "reference")})
+        groups.setdefault(key, []).append(pt)
+    batches = [g for g in groups.values() if len(g) > 1]
+    assert sum(map(len, batches)) >= 8
+    for pts in batches:
+        _assert_bounded(zip(event_densities(_config(pts[0]), map(_kinematics, pts)), pts))

@@ -118,6 +118,26 @@ def test_domain_splitting():
     assert abs(whole.value - (left.value + right.value)) <= tol
 
 
+def test_panel_edges():
+    f = lambda x: np.exp(-x * x) * np.cos(5 * x)
+    dom = Interval(-6.0, 6.0)
+    by_count = integrate_1d(f, dom, initial_panels=4)
+    by_edges = integrate_1d(f, dom, initial_panels=[-6.0, -3.0, 0.0, 3.0, 6.0])
+    assert by_edges == by_count
+    # A peak of width 1e-6 at the origin: one panel's abscissae all see
+    # exactly zero and stop at once; edges halving down to its width find it.
+    peak = lambda x: np.exp(-(x / 1e-6) ** 2)
+    exact = math.sqrt(math.pi) * 1e-6
+    assert integrate_1d(peak, Interval(0.0, 1.0)).value == 0.0
+    edges = np.concatenate([[0.0], 2.0 ** -np.arange(20, -1, -1)])
+    r = integrate_1d(peak, Interval(0.0, 1.0), QuadratureSpec(rel_tol=1e-12),
+                     initial_panels=edges)
+    assert abs(r.value - exact / 2) <= r.err_est <= 1e-12 * exact
+    for bad in ([0.0, 0.5], [-0.1, 0.5, 1.0], [0.0, 0.5, 0.5, 1.0], [1.0]):
+        with pytest.raises(ValueError, match="edges"):
+            integrate_1d(peak, Interval(0.0, 1.0), initial_panels=bad)
+
+
 def test_determinism_bit_identical():
     f1 = lambda x: np.exp(-x * x) * np.cos(5 * x)
     a = integrate_1d(f1, Interval(-6, 6), initial_panels=7)
