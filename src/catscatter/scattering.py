@@ -14,30 +14,31 @@ are provided:
   above over truncated boxes (the brute-force oracle, any state, finite
   targets only);
 * ``event_density_gaussian`` and ``event_density_cat_quadrature`` -- two
-  entry points of one 2-D momentum route: the target integral is done
-  analytically (Gaussian convolution), leaving a 2-D momentum quadrature
-  of the Gaussian-weighted amplitude, plus a weight * (1 + cos(2 r0 . p))
-  row for the cats;
-* ``event_density_cat_closed``   -- cats only: the momentum integral is
-  also done analytically via a Schwinger parameterization, leaving a
-  single exponentially damped 1-D integral over the Schwinger parameter
-  x in [0, inf).  The map u = s8 x / (1 + s8 x), with s8 = 1/(8 s^2), takes
-  it onto [0, 1):
+  entry points of one 2-D momentum route, the check on the closed form:
+  the target integral is done analytically (Gaussian convolution), leaving
+  a 2-D momentum quadrature of the Gaussian-weighted amplitude, plus a
+  weight * (1 + cos(2 r0 . p)) row for the cats;
+* ``event_density_cat_closed``   -- every beam, and what ``auto`` means:
+  the momentum integral is also done analytically, one Gaussian axis at a
+  time, via a Schwinger parameterization, leaving a single exponentially
+  damped 1-D integral over the Schwinger parameter x in [0, inf).  The map
+  u = s8 x / (1 + s8 x), with s8 = 1/(8 s_a^2) of the narrower axis a,
+  takes it onto [0, 1):
 
-      int_0^1 du e^{-x g(u)} (x + x^2 + x^3/6) / (s8 (1 - u))
+      int_0^1 du e^{-x g(u)} (x + x^2 + x^3/6) / (s8 (1 - u) sqrt(w))
           * [ displaced-packet weight
               +/- cos(2 r0.Qperp u) * exp(-r0^2 (1 - u) / (2 s^2)) ]
 
-  with x = u / (s8 (1 - u)) and g(u) = 1 + (Qz^2 + Qperp^2 (1 - u)) / 4 >= 1
-  for all kinematics.  The fringe phase is linear in u, and the integrand
+  with x = u / (s8 (1 - u)), w = 1 - (1 - rho) u for rho = s_a^2 / s_b^2
+  <= 1, and g(u) = 1 + (Qz^2 + (Q_a^2 + Q_b^2 / w) (1 - u)) / 4 >= 1 for
+  all kinematics.  Round beams have rho = 1, Q_a = |Qperp| and Q_b = 0;
+  the anisotropic beam takes the lab-frame components of Qperp.  Only the
+  cats have the fringe term.  Its phase is linear in u, and the integrand
   vanishes with all its derivatives as u -> 1, so nothing is truncated.
 
   ``event_densities`` evaluates a whole list of kinematics (a phi scan, a
-  theta x phi grid) as one vector-valued integral on a shared panel set.
-  The weight integral, the bracket's phi-free first term, is hoisted: one
-  row per distinct (p_i, p_f, theta) serves every azimuth, and each
-  kinematics adds one weight * (1 + fringe) row.  ``event_density_cat_closed``
-  is the one-kinematics case of the same integral.
+  theta x phi grid) as one vector-valued integral on a shared panel set;
+  ``event_density_cat_closed`` is its one-kinematics case.
 
 The 2-D momentum route takes the per-axis widths of the state.  Round
 beams are integrated in the frame rotated so that Qperp lies along +x;
@@ -286,73 +287,80 @@ def event_density_cat_quadrature(cfg: ScatteringConfig, kin: Kinematics) -> Even
 
 
 def event_density_cat_closed(cfg: ScatteringConfig, kin: Kinematics) -> EventDensity:
-    """Cat-state event density off hydrogen via the 1-D closed form.
-
-    The momentum integral is carried out analytically for the hydrogen
-    amplitude, leaving one exponentially damped integral, taken over
-    u = s8 x / (1 + s8 x) in [0, 1) (see the module docstring).  This is
-    the one-kinematics case of :func:`event_densities`.
-    """
+    """Event density off hydrogen via the 1-D closed form (see the module
+    docstring), for every beam: the one-kinematics case of
+    :func:`event_densities`."""
     return _cat_closed_batch(cfg, [kin])[0]
 
 
 def _cat_closed_batch(cfg: ScatteringConfig, kins: list[Kinematics]) -> list[EventDensity]:
     state = cfg.state
-    if state.variant not in (EVEN_CAT, ODD_CAT):
-        raise UnsupportedVariant(
-            f"event_density_cat_closed expects a cat state, got {state.variant}"
-        )
-    sp = state.sigma_perp
     beta = 0.25
-    s8 = 1.0 / (8.0 * sp ** 2)
-    c_sep = state.r0 ** 2 / (2.0 * sp ** 2)
+    # u follows the narrower axis a; the other axis b enters through
+    # w = 1 - (1 - rho) u = h_b / h_a with rho = sigma_a^2 / sigma_b^2 <= 1,
+    # which is exactly 1 (and Q_b exactly 0) for round beams.
+    ax = int(state.widths[1] < state.widths[0])
+    sa, sb = state.widths[ax], state.widths[1 - ax]
+    s8 = 1.0 / (8.0 * sa ** 2)
+    rho = (sa / sb) ** 2
+    c_sep = state.r0 ** 2 / (2.0 * sa ** 2)
+    lab = state.variant == ANISOTROPIC
 
-    # One phi-free weight row per distinct (p_i, p_f, theta), with |Qperp| of
-    # its first kinematics, and one weight * (1 + fringe) row per kinematics.
-    group: dict[tuple[float, float, float], int] = {}
-    qz_w, qp_w = [], []
+    # One weight row per distinct (p_i, p_f, theta), with (Qz, Q_a, Q_b) of
+    # its first kinematics (per phi as well for the lab-frame anisotropic
+    # beam), and one weight * (1 + fringe) row per kinematics of a cat.
+    group: dict[tuple, int] = {}
+    q_w = []
     row_of = np.empty(len(kins), dtype=int)
     for j, kin in enumerate(kins):
-        key = (kin.p_i, kin.p_f, kin.theta)
+        key = (kin.p_i, kin.p_f, kin.theta, kin.phi if lab else None)
         if key not in group:
             mt = momentum_transfer(kin)
-            group[key] = len(qz_w)
-            qz_w.append(mt.qz)
-            qp_w.append(mt.qperp_mag)
+            group[key] = len(q_w)
+            q_w.append((mt.qz, mt.qperp[ax], mt.qperp[1 - ax]) if lab
+                       else (mt.qz, mt.qperp_mag, 0.0))
         row_of[j] = group[key]
-    qz_w, qp_w = np.array(qz_w), np.array(qp_w)
-    phis = np.array([kin.phi for kin in kins])
+    q_w = np.array(q_w)
+    qz2, qa2, qb2 = (q_w.T ** 2)[:, :, None, None]
+    phis = np.array([kin.phi for kin in kins]) if state.parity else np.empty(0)
 
-    n_w = len(qz_w)
-    qz2, qp2 = (qz_w ** 2)[:, None, None], (qp_w ** 2)[:, None, None]
-    fa = (2.0 * state.r0 * qp_w[row_of] * np.cos(state.phi_r0 - phis))[:, None, None]
+    n_w, n_f = len(q_w), len(phis)
+    fa = (2.0 * state.r0 * q_w[row_of[:n_f], 1] * np.cos(state.phi_r0 - phis))[:, None, None]
     pick = row_of if n_w > 1 else slice(None)  # a lone weight row broadcasts
 
     def rows(u):
         v = 1.0 - u
+        w = 1.0 - (1.0 - rho) * u
         jac = s8 * v
         x = u / jac
-        g = 1.0 + beta * (qz2 + qp2 * v)
-        out = np.empty((n_w + len(kins),) + u.shape)
+        g = 1.0 + beta * (qz2 + qa2 * v + qb2 * (v / w))
+        out = np.empty((n_w + n_f,) + u.shape)
         weight = out[:n_w]
-        np.multiply(np.exp(-x * g), (x + x * x + x ** 3 / 6.0) / jac, out=weight)
-        damped = weight * np.exp(-c_sep * v)
-        fringe = out[n_w:]
-        np.multiply(fa, u, out=fringe)
-        np.cos(fringe, out=fringe)
-        fringe *= damped[pick]
-        fringe += weight[pick]
+        np.multiply(np.exp(-x * g), (x + x * x + x ** 3 / 6.0) / (jac * np.sqrt(w)), out=weight)
+        if n_f:
+            damped = weight * np.exp(-c_sep * v)
+            fringe = out[n_w:]
+            np.multiply(fa, u, out=fringe)
+            np.cos(fringe, out=fringe)
+            fringe *= damped[pick]
+            fringe += weight[pick]
         return out
 
     # Panels of pi/2 of fringe phase.  A weight peaks near u = 3 s8 / g(0),
-    # where for 8 sigma^2 g(0) >> 1 all abscissae of one panel could underflow
-    # to zero: the first panel is halved down to the narrowest width s8 / g(0).
-    edges = np.linspace(0.0, 1.0, oscillation_panels(1.0, float(np.abs(fa).max())) + 1)
-    halvings = math.ceil(math.log2(edges[1] * (1.0 + beta * float((qz2 + qp2).max())) / s8))
+    # where for 8 sigma_a^2 g(0) >> 1 all abscissae of one panel could
+    # underflow to zero: the first panel is halved down to the narrowest
+    # width s8 / g(0).
+    n_osc = oscillation_panels(1.0, float(np.abs(fa).max(initial=0.0)))
+    edges = np.linspace(0.0, 1.0, n_osc + 1)
+    g0_max = 1.0 + beta * float((qz2 + qa2 + qb2).max())
+    halvings = math.ceil(math.log2(edges[1] * g0_max / s8))
     edges = np.concatenate([[0.0], edges[1] * 2.0 ** -np.arange(halvings, 0, -1), edges[1:]])
     res = integrate_1d(rows, Interval(0.0, 1.0), cfg.quad or DEFAULT_SPEC_1D, initial_panels=edges)
+    # A beam without fringe rows passes its weights twice: _bracket scales
+    # the fringe term by its parity, 0.
+    fr = slice(n_w, None) if n_f else row_of
     return _bracket(cfg, CLOSED_FORM, beta, beta, 2.0 * math.pi,
-                    res.value[row_of], res.err_est[row_of], res.value[n_w:], res.err_est[n_w:])
+                    res.value[row_of], res.err_est[row_of], res.value[fr], res.err_est[fr])
 
 
 # ---------------------------------------------------------------------------
@@ -412,31 +420,11 @@ def event_density_general(cfg: ScatteringConfig, kin: Kinematics) -> EventDensit
 # ---------------------------------------------------------------------------
 
 
-def _pick_method(cfg: ScatteringConfig, method: str) -> str:
-    """``auto``: the closed form for cat states, the 2-D momentum
-    quadrature otherwise."""
-    if method == "auto":
-        return CLOSED_FORM if cfg.state.is_cat else QUADRATURE_2D
-    if method not in (GENERAL_4D, QUADRATURE_2D, CLOSED_FORM):
-        raise ValueError(f"unknown method {method!r}")
-    return method
-
-
 def event_density(cfg: ScatteringConfig, kin: Kinematics, method: str = "auto") -> EventDensity:
-    """Evaluate d nu / d Omega with the natural method for the state.
-
-    Every method uses the hydrogen 1s amplitude on the Gaussian target;
-    ``auto`` picks the closed form for cat states and the 2-D quadrature
-    otherwise.
-    """
-    method = _pick_method(cfg, method)
-    if method == GENERAL_4D:
-        return event_density_general(cfg, kin)
-    if method == CLOSED_FORM:
-        return event_density_cat_closed(cfg, kin)
-    if cfg.state.variant in (GAUSSIAN, ANISOTROPIC):
-        return event_density_gaussian(cfg, kin)
-    return event_density_cat_quadrature(cfg, kin)
+    """:func:`event_densities` for one kinematics.  Every method uses the
+    hydrogen 1s amplitude on the Gaussian target; ``auto`` is the closed
+    form, which every beam has, checked against the 2-D and 4-D routes."""
+    return event_densities(cfg, [kin], method)[0]
 
 
 def event_densities(
@@ -444,24 +432,32 @@ def event_densities(
 ) -> list[EventDensity]:
     """:func:`event_density` for many kinematics sharing ``cfg``, in order.
 
-    The closed form integrates up to 64 kinematics at a time as one
-    vector-valued integral on a shared panel set: one phi-free weight row
-    per distinct (p_i, p_f, theta) plus one fringe row per kinematics,
-    each row meeting the tolerance on its own.  Every row lives on u in
-    [0, 1), and the fastest fringe fixes the initial panels at pi/2 of
-    phase each, the first halved down to the narrowest weight's width.  A
-    whole theta profile is one call.  Results are deterministic for a given
-    list, and agree with the one-at-a-time values within their error
-    estimates.  Other methods run per point.
+    ``auto`` is the closed form for every beam.  It integrates up to 64
+    kinematics at a time as one vector-valued integral on a shared panel
+    set: one weight row per distinct (p_i, p_f, theta), and per phi as well
+    for the anisotropic beam, plus one fringe row per kinematics of a cat,
+    each row meeting the tolerance on its own.  A round beam's phi scan
+    thus shares one weight row.  Every row lives on u in [0, 1), and the
+    fastest fringe fixes the initial panels at pi/2 of phase each, the
+    first halved down to the narrowest weight's width.  A whole theta
+    profile is one call.  Results are deterministic for a given list, and
+    agree with the one-at-a-time values within their error estimates.
+    The 2-D and 4-D methods run per point.
     """
     kins = list(kins)
-    method = _pick_method(cfg, method)
-    if method != CLOSED_FORM:
-        return [event_density(cfg, k, method) for k in kins]
-    out: list[EventDensity] = []
-    for i in range(0, len(kins), _BATCH_KINEMATICS):
-        out += _cat_closed_batch(cfg, kins[i:i + _BATCH_KINEMATICS])
-    return out
+    if method in ("auto", CLOSED_FORM):
+        out: list[EventDensity] = []
+        for i in range(0, len(kins), _BATCH_KINEMATICS):
+            out += _cat_closed_batch(cfg, kins[i:i + _BATCH_KINEMATICS])
+        return out
+    if method == GENERAL_4D:
+        route = event_density_general
+    elif method == QUADRATURE_2D:
+        route = (event_density_gaussian if cfg.state.variant in (GAUSSIAN, ANISOTROPIC)
+                 else event_density_cat_quadrature)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return [route(cfg, k) for k in kins]
 
 
 def cross_section(ed: EventDensity) -> float:

@@ -85,7 +85,8 @@ class Kinematics:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.p_i, self.p_f, self.theta, self.phi)):
+        if not (math.isfinite(self.p_i) and math.isfinite(self.p_f)
+                and math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ValueError(f"kinematics must be finite, got {self}")
         if self.p_i <= 0 or self.p_f <= 0:
             raise ValueError("momenta must be > 0")

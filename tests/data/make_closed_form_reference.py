@@ -1,4 +1,4 @@
-"""Write ``closed_form_reference.json``: 30-digit values of the cat closed form.
+"""Write ``closed_form_reference.json``: 30-digit values of the closed form.
 
 Run from the repository root with mpmath installed:
 
@@ -23,6 +23,18 @@ target bw = off = 1 and pref = 1/4; on a finite target of width sigma_t
 and offset b0, Sigma^2 = sigma_t^2 + sigma^2, E(d) = exp(-|d|^2 /
 (2 Sigma^2)), bw = [E(b0 - r0) + E(b0 + r0)] / 2, off = E(b0) and
 pref = 1 / (8 pi Sigma^2).
+
+The points after the cats are the beams without a fringe: the Gaussian,
+the incoherent mixture and the anisotropic beam, each with its own widths
+(sigma_x, sigma_y).  Their momentum integral is done one axis at a time,
+with h_j = 1 + x / (8 sigma_j^2) per axis and lab-frame Qperp = (Q_x, Q_y):
+
+    pref * int_0^inf dx e^{-x (1 + Qz^2 / 4)} (x + x^2 + x^3/6)
+        * exp(-x (Q_x^2 / h_x + Q_y^2 / h_y) / 4) / sqrt(h_x h_y) * bw,
+
+with Sigma_j^2 = sigma_t^2 + sigma_j^2, E(d) = exp(-sum_j d_j^2 /
+(2 Sigma_j^2)), bw as above (r0 = 0 for the single packets) and pref =
+1 / (8 pi sqrt(Sigma_x^2 Sigma_y^2)) on a finite target.
 """
 
 from __future__ import annotations
@@ -69,6 +81,27 @@ FIXED = [
     for t in (None, [30.0, 5.0, -3.0])
 ]
 
+# The beams without a fringe, appended after the cats: (beam, sigma_x,
+# sigma_y, r0, phi_r0).  Wide packets at large momentum transfer give
+# narrow weights; the anisotropic beams have either axis the narrower.
+FIXED_BEAMS = [
+    dict(beam=beam, sigma_x=sx, sigma_y=sy, r0=r0, phi_r0=phi_r0, target=t, p=p, theta=theta,
+         phi=phi)
+    for beam, sx, sy, r0, phi_r0 in (
+        ("gaussian", 0.5, 0.5, 0.0, 0.0),
+        ("gaussian", 2.0, 2.0, 0.0, 0.0),
+        ("gaussian", 20.0, 20.0, 0.0, 0.0),
+        ("mixture", 2.0, 2.0, 4.0, 0.7),
+        ("mixture", 1.0, 1.0, 8.0, 2.0),
+        ("anisotropic", 1.0, 2.5, 0.0, 0.0),
+        ("anisotropic", 2.0, 1.2, 0.0, 0.0),
+        ("anisotropic", 0.4, 6.0, 0.0, 0.0),
+        ("anisotropic", 30.0, 10.0, 0.0, 0.0),
+    )
+    for t in (None, [20.0, 3.0, -2.0])
+    for p, theta, phi in ((10.0, math.radians(10.0), 0.4), (30.0, 0.5, 2.0), (40.0, 3.0, 1.0))
+]
+
 
 def log_uniform(rng: random.Random, lo: float, hi: float) -> float:
     return math.exp(rng.uniform(math.log(lo), math.log(hi)))
@@ -88,6 +121,8 @@ def draw(rng: random.Random, k: int) -> dict:
 
 
 def reference(pt: dict) -> mp.mpf:
+    if "beam" in pt:
+        return reference_without_fringe(pt)
     s = pt["parity"]
     sig, r0, phi_r0 = (mp.mpf(pt[k]) for k in ("sigma_perp", "r0", "phi_r0"))
     p, theta, phi = (mp.mpf(pt[k]) for k in ("p", "theta", "phi"))
@@ -127,16 +162,46 @@ def reference(pt: dict) -> mp.mpf:
     return pref * mp.quad(f, points) / (1 + s * overlap)
 
 
+def reference_without_fringe(pt: dict) -> mp.mpf:
+    sx, sy, r0, phi_r0 = (mp.mpf(pt[k]) for k in ("sigma_x", "sigma_y", "r0", "phi_r0"))
+    p, theta, phi = (mp.mpf(pt[k]) for k in ("p", "theta", "phi"))
+    qz, qp = p * mp.cos(theta) - p, p * mp.sin(theta)
+    qx, qy = qp * mp.cos(phi), qp * mp.sin(phi)
+    if pt["target"] is None:
+        bw = mp.mpf(1)
+        pref = mp.mpf(1) / 4
+    else:
+        st, b0x, b0y = (mp.mpf(v) for v in pt["target"])
+        ssx, ssy = st ** 2 + sx ** 2, st ** 2 + sy ** 2
+        rx, ry = r0 * mp.cos(phi_r0), r0 * mp.sin(phi_r0)
+
+        def e(dx, dy):
+            return mp.exp(-(dx ** 2 / ssx + dy ** 2 / ssy) / 2)
+
+        bw = (e(b0x - rx, b0y - ry) + e(b0x + rx, b0y + ry)) / 2
+        pref = 1 / (8 * mp.pi * mp.sqrt(ssx * ssy))
+
+    def f(x):
+        hx, hy = 1 + x / (8 * sx ** 2), 1 + x / (8 * sy ** 2)
+        g = 1 + (qz ** 2 + qx ** 2 / hx + qy ** 2 / hy) / 4
+        return mp.exp(-x * g) * (x + x ** 2 + x ** 3 / 6) / mp.sqrt(hx * hy)
+
+    g0 = 1 + (qz ** 2 + qp ** 2) / 4
+    points = sorted(set(BREAKS) | {b / g0 for b in BREAKS[1:]}) + [mp.inf]
+    return pref * bw * mp.quad(f, points)
+
+
 def main() -> None:
     rng = random.Random(SEED)
-    pts = FIXED + [draw(rng, k) for k in range(N_RANDOM)]
+    pts = FIXED + [draw(rng, k) for k in range(N_RANDOM)] + FIXED_BEAMS
     with mp.workdps(DIGITS + 10):
         for pt in pts:
             pt["reference"] = mp.nstr(reference(pt), DIGITS, min_fixed=1, max_fixed=0)
     doc = {
         "about": "d nu / d Omega of cat states by the closed form at 30 digits; "
                  "target null = wide (d sigma / d Omega), else [sigma_t, b0x, b0y]; "
-                 "parity +1 even, -1 odd; written by make_closed_form_reference.py",
+                 "parity +1 even, -1 odd; points with a 'beam' (gaussian, mixture, "
+                 "anisotropic) follow the cats; written by make_closed_form_reference.py",
         "seed": SEED,
         "points": pts,
     }

@@ -1,4 +1,5 @@
-"""The closed form's err_est against independent 30-digit reference values.
+"""The closed form's err_est against independent 30-digit reference values,
+for the cats and for the beams without a fringe.
 
 ``tests/data/closed_form_reference.json`` is written by
 ``tests/data/make_closed_form_reference.py`` (mpmath, x-domain integral);
@@ -16,9 +17,20 @@ from catscatter.scattering import event_densities, event_density_cat_closed
 DATA = Path(__file__).parent / "data" / "closed_form_reference.json"
 
 
-def _config(pt: dict) -> ScatteringConfig:
+def _state(pt: dict) -> BeamState:
+    beam = pt.get("beam")
+    if beam == "gaussian":
+        return BeamState.gaussian(pt["sigma_x"])
+    if beam == "mixture":
+        return BeamState.incoherent_pair(pt["sigma_x"], pt["r0"], phi_r0=pt["phi_r0"])
+    if beam == "anisotropic":
+        return BeamState.anisotropic(pt["sigma_x"], pt["sigma_y"])
     maker = BeamState.even_cat if pt["parity"] == 1 else BeamState.odd_cat
-    state = maker(pt["sigma_perp"], pt["r0"], phi_r0=pt["phi_r0"])
+    return maker(pt["sigma_perp"], pt["r0"], phi_r0=pt["phi_r0"])
+
+
+def _config(pt: dict) -> ScatteringConfig:
+    state = _state(pt)
     if pt["target"] is None:
         return ScatteringConfig(state, TargetProfile.wide())
     sigma_t, b0x, b0y = pt["target"]
@@ -44,6 +56,7 @@ def _assert_bounded(pairs):
 def test_closed_form_err_est_bounds_reference_error():
     points = json.loads(DATA.read_text())["points"]
     assert len(points) >= 300
+    assert {pt.get("beam") for pt in points} == {None, "gaussian", "mixture", "anisotropic"}
     _assert_bounded((event_density_cat_closed(_config(pt), _kinematics(pt)), pt)
                     for pt in points)
 

@@ -2,7 +2,8 @@
 batched closed form, pi-periodicity and reflection symmetry of dnu(phi)
 about the separation azimuth, and nonnegativity; for the 2-D momentum
 route, the Gaussian and mixture nulls, the frame change and agreement with
-the closed form; for the 4-D oracle, agreement with the 2-D route."""
+the closed form, for the cats and for the beams without a fringe; for the
+4-D oracle, agreement with the 2-D route."""
 
 import math
 
@@ -86,6 +87,27 @@ def test_route_2d_nulls_and_frames(sigma_perp, r0_ratio, theta, p, phi, phi_r0, 
     _agree(*gauss)
     _agree(*mix)
     _agree(aniso, gauss[0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**ROUTE_2D, sigma_y=st.floats(0.3, 10.0))
+def test_closed_form_agrees_with_route_2d_without_fringe(sigma_perp, r0_ratio, theta, p, phi,
+                                                         phi_r0, wide, sigma_y):
+    """The closed form of the beams without a fringe (Gaussian, mixture,
+    anisotropic) agrees with the 2-D momentum route, and the anisotropic
+    closed form at equal widths (lab frame) is the round Gaussian's
+    (Qperp-aligned frame)."""
+    target = TargetProfile.wide() if wide else TargetProfile.gaussian(20.0, (1.0, -0.5))
+    kin = Kinematics.elastic(p, theta, phi)
+    gauss = ScatteringConfig(BeamState.gaussian(sigma_perp), target)
+    mix = ScatteringConfig(
+        BeamState.incoherent_pair(sigma_perp, r0_ratio * sigma_perp, phi_r0=phi_r0), target)
+    aniso = ScatteringConfig(BeamState.anisotropic(sigma_perp, sigma_y), target)
+    equal = ScatteringConfig(BeamState.anisotropic(sigma_perp, sigma_perp), target)
+    _agree(event_density_cat_closed(gauss, kin), event_density_gaussian(gauss, kin))
+    _agree(event_density_cat_closed(mix, kin), event_density_cat_quadrature(mix, kin))
+    _agree(event_density_cat_closed(aniso, kin), event_density_gaussian(aniso, kin))
+    _agree(event_density_cat_closed(equal, kin), event_density_cat_closed(gauss, kin))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -374,9 +374,10 @@ def test_dispatch_and_preconditions():
     cfg = wide_cfg(BeamState.even_cat(2.0, 4.0))
     assert event_density(cfg, kin).method == "closed_form"
     gcfg = wide_cfg(BeamState.gaussian(2.0))
-    assert event_density(gcfg, kin).method == "quadrature2d"
-    with pytest.raises(UnsupportedVariant):
-        event_density_cat_closed(gcfg, kin)
+    assert event_density(gcfg, kin).method == "closed_form"
+    for state in (BeamState.odd_cat(2.0, 4.0), BeamState.incoherent_pair(2.0, 4.0),
+                  BeamState.anisotropic(1.0, 2.5)):
+        assert event_density(wide_cfg(state), kin).method == "closed_form"
     with pytest.raises(UnsupportedVariant):
         event_density_cat_quadrature(gcfg, kin)
     with pytest.raises(UnsupportedVariant):
