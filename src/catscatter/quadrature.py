@@ -15,11 +15,13 @@ panel set across its rows; each row must meet its own tolerance, and a
 round splits the boxes holding the largest error-to-tolerance ratio among
 the rows that have not converged yet.  A scalar integrand is the one-row
 case of the same adaptive loop.
-Reported values and error estimates are ``math.fsum`` sums (a round's
-convergence test uses numpy's sums), the panel bookkeeping is ordered, and no
-randomness enters anywhere, so two calls with identical inputs return
-bit-identical results.  Everything is pure and reentrant; callers may
-integrate from many threads concurrently.
+Reported values and error estimates are the numpy row sums of the last
+convergence test, the panel bookkeeping is ordered, and no randomness
+enters anywhere, so identical inputs give bit-identical results for a
+given numpy build.  An integrand call takes at most 2**20 abscissae x rows
+(the first of a batch 2**20 abscissae), so memory stays bounded per call.
+Everything is pure and reentrant; callers may integrate from many threads
+concurrently.
 
 Every bound of a domain is finite; a caller with a decaying tail maps it
 onto a finite domain or truncates it where the dropped part is below
@@ -316,64 +318,70 @@ def _evaluate(f: Callable, rule, lo: np.ndarray, hi: np.ndarray,
     """Per-row panel values and errors, shape (rows, nbox), the split
     indicators, shape (nbox, d), taken as the largest over the rows, and
     ``rows``: None for a scalar integrand, else the batch size B, which the
-    ``first`` evaluation reads from the output's shape."""
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    # points: (nbox, npts) per axis
-    coords = [
-        center[:, k][:, None] + half[:, k][:, None] * rule.nodes[:, k][None, :]
-        for k in range(lo.shape[1])
-    ]
-    shape = coords[0].shape
-    vals = np.asarray(f(*coords), dtype=float)
-    if first and vals.ndim == len(shape) + 1:
-        rows = vals.shape[0]
-    want = shape if rows is None else (rows,) + shape
-    if vals.shape != want:
-        raise ValueError(f"integrand returned shape {vals.shape} for abscissae of "
-                         f"shape {shape}; expected {want}")
-    if not np.isfinite(vals).all():
-        raise NonFiniteIntegrand("integrand returned a non-finite value")
-    value, err, scores = rule.apply(vals, half)
-    if rows is None:  # the one-row case of a batch
-        return value[None], err[None], scores, rows
-    return value, err, scores.max(axis=0), rows
+    ``first`` output fixes.  ``f`` takes whole boxes, at most ``_CHUNK``
+    abscissae x rows per call (one row until ``rows`` is fixed)."""
+    parts, start = [], 0
+    while start < len(lo):
+        box = slice(start, start + max(1, _CHUNK // (rule.npts * (rows or 1))))
+        center = 0.5 * (lo[box] + hi[box])
+        half = 0.5 * (hi[box] - lo[box])
+        # points: (nbox, npts) per axis
+        coords = [
+            center[:, k][:, None] + half[:, k][:, None] * rule.nodes[:, k][None, :]
+            for k in range(lo.shape[1])
+        ]
+        shape = coords[0].shape
+        vals = np.asarray(f(*coords), dtype=float)
+        if first and vals.ndim == len(shape) + 1:
+            rows = vals.shape[0]
+        first = False
+        want = shape if rows is None else (rows,) + shape
+        if vals.shape != want:
+            raise ValueError(f"integrand returned shape {vals.shape} for abscissae of "
+                             f"shape {shape}; expected {want}")
+        if not np.isfinite(vals).all():
+            raise NonFiniteIntegrand("integrand returned a non-finite value")
+        # A scalar integrand is the one-row case of a batch.
+        value, err, scores = rule.apply(vals[None] if rows is None else vals, half)
+        parts.append((value, err, scores.max(axis=0)))
+        start = box.stop
+    values, errs, scores = zip(*parts)
+    return (np.concatenate(values, axis=1), np.concatenate(errs, axis=1),
+            np.concatenate(scores), rows)
 
 
-# Largest abscissa array an initial panelization may ask for (128 MiB of
-# floats per row; a 4-D Wigner cubature peaks near 1.2 GB there); a larger
-# one fails at once instead of exhausting memory.
-_MAX_ABSCISSAE = 2 ** 24
+# Abscissae x rows per integrand call, so a round's memory stays bounded
+# whatever its box count.  A split round's ``vals @ w`` differs from an
+# unsplit one's in the last bits: BLAS sums in an order set by the shape.
+_CHUNK = 2 ** 20
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
-def _fsums(a: np.ndarray) -> list[float]:
-    return [math.fsum(row) for row in a.tolist()]
-
-
-def _stalled(why: str, err_totals: np.ndarray, tols: np.ndarray, batch: bool) -> NonConvergence:
-    """NonConvergence naming the row furthest above its tolerance."""
-    i = max(range(len(tols)), key=lambda k: err_totals[k] / max(tols[k], _TINY))
+def _stalled(why: str, errs: np.ndarray, tols: np.ndarray, lo: np.ndarray,
+             hi: np.ndarray, batch: bool) -> NonConvergence:
+    """NonConvergence naming the row furthest above its tolerance and that
+    row's box of largest err/tol."""
+    err_totals = errs.sum(axis=1)
+    i = int(np.argmax(err_totals / np.maximum(tols, _TINY)))
+    j = int(np.argmax(errs[i]))
     row = f", row {i}" if batch else ""
-    return NonConvergence(f"{why} (err={err_totals[i]:.3e}, tol={tols[i]:.3e}{row})")
+    box = " x ".join(f"[{a:.6g}, {b:.6g}]" for a, b in zip(lo[j], hi[j]))
+    return NonConvergence(f"{why} (err={err_totals[i]:.3e}, tol={tols[i]:.3e}{row}; worst "
+                          f"box {box} at err/tol={errs[i, j] / max(tols[i], _TINY):.3e})")
 
 
 def _adapt(f: Callable, edges: Sequence[np.ndarray], spec: QuadratureSpec) -> QuadratureResult:
     rule = _rule_for(len(edges))
-    splits = [len(e) - 1 for e in edges]
-    n_initial = math.prod(splits)
-    if n_initial * rule.npts > _MAX_ABSCISSAE:
-        raise ValueError(f"initial_splits={splits} need {n_initial} boxes x "
-                         f"{rule.npts} abscissae, over the cap of {_MAX_ABSCISSAE}")
+    n_initial = math.prod(len(e) - 1 for e in edges)
     lo, hi = _initial_boxes(edges)
     # values, errs: (rows, nbox); scores: (nbox, d)
     values, errs, scores, rows = _evaluate(f, rule, lo, hi, None, first=True)
     subdivisions = 0
 
     while True:
-        err_totals = errs.sum(axis=1)
-        tols = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(values.sum(axis=1)))
+        totals, err_totals = values.sum(axis=1), errs.sum(axis=1)
+        tols = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(totals))
         act = np.flatnonzero(err_totals > tols)
         if not len(act):
             break
@@ -382,19 +390,15 @@ def _adapt(f: Callable, edges: Sequence[np.ndarray], spec: QuadratureSpec) -> Qu
         # Panel priority: the largest err/tol over the unconverged rows, in
         # units of the largest of their tolerances (plain errors when one
         # row is left, as for a scalar integrand).
-        if len(act) > 1:
-            scale = tol_a.max() / np.maximum(tol_a, _TINY)
-            priority = (err_a * scale[:, None]).max(axis=0)
-        else:
-            priority = err_a[0]
-        widths = hi - lo
+        scale = max(tol_a.max(), _TINY) / np.maximum(tol_a, _TINY)
+        priority = (err_a * scale[:, None]).max(axis=0)
         split_axis = np.argmax(scores, axis=1)
-        splittable = np.take_along_axis(widths, split_axis[:, None], axis=1).ravel() > 0.0
+        splittable = np.take_along_axis(hi - lo, split_axis[:, None], axis=1).ravel() > 0.0
         order = np.lexsort((np.arange(len(priority)), -priority))
         order = order[splittable[order]]
         if not len(order):
             raise _stalled("tolerance not met and no panel is splittable",
-                           err_totals, tols, rows is not None)
+                           errs, tols, lo, hi, rows is not None)
         # Split the smallest prefix of worst boxes whose removal would pull
         # every unconverged row's remaining error comfortably under its
         # tolerance.
@@ -404,17 +408,15 @@ def _adapt(f: Callable, edges: Sequence[np.ndarray], spec: QuadratureSpec) -> Qu
         budget = spec.max_subdivisions - subdivisions
         if budget <= 0:
             raise _stalled(f"max_subdivisions={spec.max_subdivisions} exhausted",
-                           err_totals, tols, rows is not None)
+                           errs, tols, lo, hi, rows is not None)
         picked = order[: min(count, budget)]
         subdivisions += len(picked)
 
         ax = split_axis[picked]
-        mid = 0.5 * (
-            np.take_along_axis(lo[picked], ax[:, None], axis=1)
-            + np.take_along_axis(hi[picked], ax[:, None], axis=1)
-        )
-        lo_l, hi_l = lo[picked].copy(), hi[picked].copy()
-        lo_r, hi_r = lo[picked].copy(), hi[picked].copy()
+        lo_l, hi_r = lo[picked], hi[picked]  # fancy indexing copies
+        mid = 0.5 * (np.take_along_axis(lo_l, ax[:, None], axis=1)
+                     + np.take_along_axis(hi_r, ax[:, None], axis=1))
+        hi_l, lo_r = hi_r.copy(), lo_l.copy()
         np.put_along_axis(hi_l, ax[:, None], mid, axis=1)
         np.put_along_axis(lo_r, ax[:, None], mid, axis=1)
 
@@ -433,12 +435,11 @@ def _adapt(f: Callable, edges: Sequence[np.ndarray], spec: QuadratureSpec) -> Qu
     # integrated magnitude): on panels fine enough for a batch's fastest
     # row, the K15-G7 differences of its smooth rows fall below the
     # floating-point resolution of their sums.
-    totals = _fsums(values)
-    err_est = np.array(_fsums(errs)) + _ROUNDOFF * np.abs(values).sum(axis=1)
+    err_est = err_totals + _ROUNDOFF * np.abs(values).sum(axis=1)
     neval = rule.npts * (n_initial + 2 * subdivisions)
     if rows is None:
-        return QuadratureResult(totals[0], float(err_est[0]), neval, subdivisions)
-    return QuadratureResult(np.array(totals), err_est, neval, subdivisions)
+        return QuadratureResult(float(totals[0]), float(err_est[0]), neval, subdivisions)
+    return QuadratureResult(totals, err_est, neval, subdivisions)
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +488,8 @@ def integrate_1d(
     NonFiniteIntegrand
         ``f`` produced NaN or infinity.
     ValueError
-        ``f`` returned an array of the wrong shape, panel edges that do not
-        increase from ``domain.lo`` to ``domain.hi``, or initial panels that
-        would need more than 2**24 abscissae.
+        ``f`` returned an array of the wrong shape, or panel edges that do
+        not increase from ``domain.lo`` to ``domain.hi``.
     """
     edges = (np.linspace(domain.lo, domain.hi, max(1, initial_panels) + 1)
              if np.ndim(initial_panels) == 0 else np.asarray(initial_panels, dtype=float))
@@ -509,11 +509,9 @@ def integrate_nd(
 
     ``f`` receives one coordinate array per axis and returns an array of
     their shape, or a batch of shape ``(B, *shape)`` as in
-    :func:`integrate_1d`.  ``initial_splits``
-    pre-panelizes each axis (oscillation safeguard); refinement then
-    proceeds adaptively.  The result is deterministic and independent of
-    evaluation order.  Splits that would need more than 2**24 abscissae
-    in one evaluation raise ``ValueError`` before ``f`` is called.
+    :func:`integrate_1d`.  ``initial_splits`` pre-panelizes each axis
+    (oscillation safeguard); refinement then proceeds adaptively.  The
+    result is deterministic and independent of evaluation order.
     """
     ndim = len(box)
     if ndim not in (2, 4):

@@ -113,8 +113,9 @@ GENERAL_4D = "general4d"
 QUADRATURE_2D = "quadrature2d"
 CLOSED_FORM = "closed_form"
 
-# Kinematics per closed-form batch integral: bounds the (rows x abscissae)
-# arrays of one evaluation while keeping a 64-phi scan in one integral.
+# Kinematics per closed-form batch integral: one 64-phi scan.  Rows share
+# their fastest row's panels, so uncapped a 20 theta x 64 phi grid at p 20
+# took 1.8-2.2x as long (odd_cat(2, 3, phi_r0=0.4) and even_cat(1, 8), wide target).
 _BATCH_KINEMATICS = 64
 
 
@@ -437,10 +438,11 @@ def event_densities(
     set: one weight row per distinct (p_i, p_f, theta), and per phi as well
     for the anisotropic beam, plus one fringe row per kinematics of a cat,
     each row meeting the tolerance on its own.  A round beam's phi scan
-    thus shares one weight row.  Every row lives on u in [0, 1), and the
-    fastest fringe fixes the initial panels at pi/2 of phase each, the
-    first halved down to the narrowest weight's width.  A whole theta
-    profile is one call.  Results are deterministic for a given list, and
+    thus shares one weight row.  The cap of 64 bounds cost, not memory:
+    every row of a batch runs on the panels its fastest row needs.  Every
+    row lives on u in [0, 1), and the fastest fringe fixes the initial
+    panels at pi/2 of phase each, the first halved down to the narrowest
+    weight's width.  A whole theta profile is one call.  Results are deterministic for a given list, and
     agree with the one-at-a-time values within their error estimates.
     The 2-D and 4-D methods run per point.
     """

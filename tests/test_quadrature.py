@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from catscatter import quadrature
 from catscatter.errors import NonConvergence, NonFiniteIntegrand, UnsupportedDimension
 from catscatter.quadrature import (
     Interval,
@@ -12,6 +13,7 @@ from catscatter.quadrature import (
     integrate_nd,
     oscillation_panels,
 )
+from catscatter.states import BeamState, wigner_normalization
 
 TIGHT = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -169,8 +171,11 @@ def test_4d_gaussian_normalization():
 
 def test_nonconvergence():
     spec = QuadratureSpec(rel_tol=1e-14, max_subdivisions=5)
-    with pytest.raises(NonConvergence):
+    with pytest.raises(NonConvergence) as info:
         integrate_1d(lambda x: 1.0 / np.sqrt(x), Interval(0.0, 1.0), spec)
+    # The worst box is the one that holds the singularity.
+    assert re.search(r"max_subdivisions=5 exhausted \(err=\S+, tol=\S+; "
+                     r"worst box \[0, 0\.125\] at err/tol=\S+\)$", str(info.value))
 
 
 def test_nonfinite_integrand():
@@ -207,19 +212,6 @@ def test_later_integrand_error_propagates():
     with pytest.raises(ValueError, match="second call fails"):
         integrate_1d(f, Interval(0.0, 1.0))
     assert len(calls) == 2
-
-
-def test_oversized_initial_panelization_raises_before_evaluating():
-    # 64^4 boxes of 57 Genz-Malik points would need about 7.6 GB per array.
-    calls = []
-
-    def f(*axes):
-        calls.append(axes[0].shape)
-        return np.ones_like(axes[0])
-
-    with pytest.raises(ValueError, match=r"\[64, 64, 64, 64\].*16777216"):
-        integrate_nd(f, [Interval(0.0, 1.0)] * 4, initial_splits=[64] * 4)
-    assert calls == []
 
 
 # -- batched (vector-valued) integrands ----------------------------------------
@@ -280,3 +272,71 @@ def test_row_count_is_fixed_by_the_first_evaluation():
         integrate_1d(f, Interval(0.0, 1.0), initial_panels=3)
     assert re.search(r"shape \(2, (\d+), 15\) .* shape \(\1, 15\); expected \(3, \1, 15\)",
                      str(info.value))
+
+
+# -- chunked evaluation ---------------------------------------------------------
+
+SMALL_CHUNK = 2 ** 10
+
+
+def _sizes_per_call(monkeypatch, chunk, run):
+    """Run ``run(record)`` with ``_CHUNK = chunk``; ``record`` wraps an
+    integrand and logs each call's abscissae x rows."""
+    monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+    sizes = []
+
+    def record(f):
+        def g(*axes):
+            out = f(*axes)
+            sizes.append(np.size(out))
+            return out
+        return g
+
+    return run(record), sizes
+
+
+@pytest.mark.parametrize("case", ["1d_batch", "2d", "4d"])
+def test_chunked_calls_stay_under_the_bound(monkeypatch, case):
+    def run(record):
+        if case == "1d_batch":  # chunked on later rounds
+            return integrate_1d(record(lambda x: np.cos(OMEGAS[:, None, None] * x)
+                                       * np.exp(-x * x)),
+                                Interval(-8.0, 8.0), QuadratureSpec(rel_tol=1e-12),
+                                initial_panels=4)
+        if case == "2d":  # chunked from the initial panels on
+            return integrate_nd(record(lambda x, y: np.exp(-x * x - 2 * y * y)
+                                       * np.cos(3 * x * y)),
+                                [Interval(-5, 5), Interval(-4, 4)], TIGHT,
+                                initial_splits=[6, 6])
+        return integrate_nd(record(lambda x, y, px, py:
+                                   np.exp(-x * x - y * y - px * px - py * py)),
+                            [Interval(-4, 4)] * 4, initial_splits=[3, 3, 3, 3])
+
+    whole, whole_sizes = _sizes_per_call(monkeypatch, quadrature._CHUNK, run)
+    chunked, sizes = _sizes_per_call(monkeypatch, SMALL_CHUNK, run)
+    assert len(sizes) > len(whole_sizes)
+    assert max(sizes) <= SMALL_CHUNK
+    assert np.all(np.abs(chunked.value - whole.value) <= chunked.err_est + whole.err_est)
+
+
+def test_a_later_chunk_must_keep_the_row_count(monkeypatch):
+    # The first chunk (68 boxes, counted as one row) returns 3 rows; the
+    # next returns 2.
+    monkeypatch.setattr(quadrature, "_CHUNK", SMALL_CHUNK)
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return np.stack([np.sqrt(x)] * (3 if len(calls) == 1 else 2))
+
+    with pytest.raises(ValueError) as info:
+        integrate_1d(f, Interval(0.0, 1.0), initial_panels=100)
+    assert calls == [(68, 15), (22, 15)]
+    assert re.search(r"shape \(2, 22, 15\) .* shape \(22, 15\); expected \(3, 22, 15\)",
+                     str(info.value))
+
+
+def test_chunked_wigner_normalization(monkeypatch):
+    monkeypatch.setattr(quadrature, "_CHUNK", 2 ** 16)
+    r = wigner_normalization(BeamState.odd_cat(1.5, 4.0, phi_r0=0.3))
+    assert abs(r.value - 1.0) <= r.err_est
