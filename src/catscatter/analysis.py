@@ -13,6 +13,11 @@ identically.  The model-free ``minmax`` metric
 ``(max - min)/(max + min)`` over the phi scan is kept as a fallback; it
 bounds the para/perp contrast from above whenever the scan contains both
 azimuths (the generated grids always do).
+
+For every beam dnu depends on phi only through |cos(phi - phi_r0)|
+(the anisotropic beam has phi_r0 = 0), so a scan of 4q samples over the
+whole turn holds q + 1 distinct values: only those azimuths are computed,
+and the other entries are copies of their mirror images.
 """
 
 from __future__ import annotations
@@ -107,18 +112,25 @@ def _echo(spec: AsymmetrySpec) -> dict:
 def azimuthal_asymmetry(spec: AsymmetrySpec) -> AsymmetryResult:
     """Evaluate the azimuthal asymmetry with its full phi scan.
 
+    Only the q + 1 azimuths phi_r0 + (pi/2)(k/q), k = 0..q, are computed,
+    in one :func:`event_densities` call.  dnu is pi-periodic and even about
+    phi_r0, so scan entry k equals sample min(k mod 2q, 2q - k mod 2q) and
+    is copied from it exactly.
+
     Raises ``DegenerateDenominator`` when both azimuthal samples vanish
     (below 1e-300), which can only happen for unphysical inputs.
     """
     phis = _phi_grid(spec)
-    kins = [spec.kin_base.with_phi(float(p)) for p in phis]
-    eds = event_densities(spec.cfg, kins, method=spec.method)
-    scan = tuple((float(p), ed.value) for p, ed in zip(phis, eds))
+    q = len(phis) // 4
+    eds = event_densities(spec.cfg, [spec.kin_base.with_phi(float(p)) for p in phis[:q + 1]],
+                          method=spec.method)
+    k = np.arange(4 * q) % (2 * q)
+    vals = [eds[j].value for j in np.minimum(k, 2 * q - k)]
+    scan = tuple(zip(phis.tolist(), vals))
     if spec.metric == "para_perp":
-        a_val = _para_perp(scan[0][1], scan[len(scan) // 4][1])
+        a_val = _para_perp(vals[0], vals[q])
     else:
-        vals = np.array([v for _, v in scan])
-        hi, lo = float(vals.max()), float(vals.min())
+        hi, lo = max(vals), min(vals)
         if abs(hi + lo) < 1e-300:
             raise DegenerateDenominator("event density vanished on the phi grid")
         a_val = (hi - lo) / (hi + lo)

@@ -132,6 +132,8 @@ class BeamState:
         if self.variant == ANISOTROPIC:
             if not (self.sigma_x and self.sigma_y) or self.sigma_x <= 0 or self.sigma_y <= 0:
                 raise ValueError("anisotropic state needs sigma_x > 0 and sigma_y > 0")
+            if self.phi_r0 != 0.0:  # its symmetry axis is phi = 0
+                raise ValueError(f"anisotropic state needs phi_r0 = 0, got {self.phi_r0}")
             return
         if self.sigma_perp is None or self.sigma_perp <= 0:
             raise ValueError(f"{self.variant} state needs sigma_perp > 0")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,6 +108,52 @@ def test_para_perp_reads_the_scan_samples(method):
                                        phi_grid_n=8, method=method))
     d_par, d_perp = res.phi_scan[0][1], res.phi_scan[2][1]
     assert res.A == (d_perp - d_par) / (d_perp + d_par)
+
+
+FIVE_BEAMS = [BeamState.gaussian(2.0), BeamState.even_cat(2.0, 4.0, phi_r0=0.3),
+              BeamState.odd_cat(2.0, 3.0, phi_r0=0.3),
+              BeamState.incoherent_pair(2.0, 4.0, phi_r0=0.3), BeamState.anisotropic(1.0, 2.5)]
+
+
+@pytest.mark.parametrize("method, n", [("closed_form", 64), ("quadrature2d", 8)])
+@pytest.mark.parametrize("target", [WIDE, TargetProfile.gaussian(20.0, (3.0, -2.0))])
+@pytest.mark.parametrize("state", FIVE_BEAMS, ids=lambda s: s.variant)
+def test_reduced_scan_matches_a_full_scan(state, target, method, n):
+    # The scan computes q + 1 azimuths and mirrors the rest; every entry
+    # must agree with the whole grid evaluated point for point.
+    spec = AsymmetrySpec(cfg=ScatteringConfig(state=state, target=target),
+                         kin_base=Kinematics.elastic(10.0, 10.0 * DEG),
+                         phi_grid_n=n, method=method)
+    grid = _phi_grid(spec)
+    full = event_densities(spec.cfg, [spec.kin_base.with_phi(float(p)) for p in grid],
+                           method=method)
+    res = azimuthal_asymmetry(spec)
+    q = len(grid) // 4
+    assert [p for p, _ in res.phi_scan] == grid.tolist()
+    for k, (_, v) in enumerate(res.phi_scan):
+        m = min(k % (2 * q), 2 * q - k % (2 * q))  # the computed sample it copies
+        assert abs(v - full[k].value) <= full[k].err_est + full[m].err_est
+    # Each extreme may be off by two err_est, which moves (hi - lo)/(hi + lo)
+    # by at most twice that over (hi + lo).
+    vals = [ed.value for ed in full]
+    hi, lo = max(vals), min(vals)
+    off = 2.0 * max(ed.err_est for ed in full)
+    mm = azimuthal_asymmetry(replace(spec, metric="minmax"))
+    assert abs(mm.A - (hi - lo) / (hi + lo)) <= 2.0 * off / (hi + lo)
+
+
+@pytest.mark.parametrize("n, distinct", [(64, 17), (8, 3), (10, 4)])
+def test_scan_evaluates_only_the_distinct_azimuths(monkeypatch, n, distinct):
+    sizes = []
+
+    def counting(cfg, kins, method="auto"):
+        sizes.append(len(kins))
+        return event_densities(cfg, kins, method=method)
+
+    monkeypatch.setattr(analysis, "event_densities", counting)
+    res = azimuthal_asymmetry(spec_for(BeamState.odd_cat(2.0, 3.0), phi_grid_n=n))
+    assert sizes == [distinct]
+    assert len(res.phi_scan) == 4 * (distinct - 1)
 
 
 # -- sweeps ---------------------------------------------------------------------

@@ -158,6 +158,25 @@ def test_asymmetry_output():
     assert 0.03 <= abs(float(vals[2])) <= 0.2
 
 
+@pytest.mark.parametrize("method, n", [("closed", 16), ("quad2d", 8)])
+def test_asymmetry_json_scan_is_mirrored_and_replays(tmp_path, method, n):
+    out = tmp_path / "a.json"
+    code, _, _ = run_cli("asymmetry", "--state", "odd-cat", "--sigma-perp", "2",
+                         "--r0", "3", "--phi-r0", "30", "--sigma-t", "20", "--theta", "10",
+                         "--method", method, "--phi-grid", str(n),
+                         "--format", "json", "--out", str(out))
+    assert code == 0
+    first = out.read_bytes()
+    scan = json.loads(first)["extra"]["phi_scan"]
+    assert len(scan) == n and scan[0][1] != scan[n // 4][1]
+    for k in range(n):  # reflection about phi_r0, then pi-periodicity
+        assert scan[k][1] == scan[(n - k) % n][1]
+        assert scan[k][1] == scan[(k + n // 2) % n][1]
+    out.unlink()
+    assert run_cli("--config", str(tmp_path / "a.json.config.json"))[0] == 0
+    assert out.read_bytes() == first
+
+
 def test_quad2d_asymmetry_at_strong_separation_agrees_with_closed_form():
     # r0 = 8 sigma_perp lies inside the validity band; the 2-D route once
     # stalled on this fringe and exited with a NonConvergence input error.

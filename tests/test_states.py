@@ -348,6 +348,13 @@ def test_state_field_validation():
         BeamState.gaussian(1.0, p_i=-3.0)
 
 
+def test_anisotropic_state_rejects_a_separation_azimuth():
+    # Its dnu is even about phi = 0, the axis every phi scan is centred on.
+    with pytest.raises(ValueError, match="phi_r0 = 0"):
+        BeamState("anisotropic", sigma_x=1.0, sigma_y=2.0, phi_r0=0.3)
+    assert BeamState.anisotropic(1.0, 2.0).with_r0(3.0).phi_r0 == 0.0
+
+
 @pytest.mark.parametrize("make", [
     lambda: BeamState.gaussian(math.nan),
     lambda: BeamState.gaussian(math.inf),
