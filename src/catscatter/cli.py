@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +27,8 @@ import numpy as np
 from . import __version__
 from .analysis import AsymmetrySpec, azimuthal_asymmetry, sweep as run_sweep
 from .errors import CatscatterError
-from .quadrature import Interval, QuadratureSpec, integrate_1d, integrate_nd
+from .quadrature import (DEFAULT_SPEC_1D, DEFAULT_SPEC_2D, DEFAULT_SPEC_4D, Interval,
+                         QuadratureSpec, integrate_1d, integrate_nd)
 from .scattering import (
     ScatteringConfig,
     cross_section,
@@ -62,6 +63,9 @@ _METHOD_BY_FLAG = {
     "quad2d": "quadrature2d",
     "closed": "closed_form",
 }
+# Each method's default spec; --tol replaces only its rel_tol.
+_SPEC_BY_FLAG = {"auto": DEFAULT_SPEC_1D, "closed": DEFAULT_SPEC_1D,
+                 "quad2d": DEFAULT_SPEC_2D, "general4d": DEFAULT_SPEC_4D}
 _AXIS_BY_FLAG = {"r0": "r0", "sigma-perp": "sigma_perp", "theta": "theta", "pi": "p_i"}
 # Allowed values of each RunConfig choice field, for flags and sidecars alike.
 _CHOICES = {
@@ -167,6 +171,8 @@ class RunConfig:
         for flag, n in (("--phi-grid", self.phi_grid), ("--grid", self.grid)):
             if n < 1:
                 raise _InputError(f"{flag} must be >= 1, got {n!r}")
+        if self.subcommand in ("asymmetry", "sweep") and len(self.theta_deg) > 1:
+            raise _InputError(f"{self.subcommand} takes one --theta, got {len(self.theta_deg)}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -269,7 +275,7 @@ def build_target(cfg: RunConfig) -> TargetProfile:
 
 
 def _scattering_config(cfg: RunConfig) -> ScatteringConfig:
-    quad = QuadratureSpec(rel_tol=cfg.tol) if cfg.tol is not None else None
+    quad = replace(_SPEC_BY_FLAG[cfg.method], rel_tol=cfg.tol) if cfg.tol is not None else None
     return ScatteringConfig(build_state(cfg), build_target(cfg), n_e=cfg.ne, quad=quad)
 
 
@@ -334,10 +340,10 @@ def _run_sweep(cfg: RunConfig):
     if cfg.axis is None or cfg.values is None:
         raise _InputError("sweep needs --axis and --values")
     axis = _AXIS_BY_FLAG[cfg.axis]
-    values = list(cfg.values)
-    if axis == "theta":
-        values = [v * DEG for v in values]
-    spec = _asym_spec(cfg, cfg.theta_deg[0])
+    values = [v * DEG for v in cfg.values] if axis == "theta" else list(cfg.values)
+    # An r0 sweep starts at its first value: the default r0 = 0 is no odd cat.
+    base = replace(cfg, r0=values[0]) if axis == "r0" else cfg
+    spec = _asym_spec(base, cfg.theta_deg[0])
     rows_out = []
     scans = []
     for row in run_sweep(spec, axis, values, r0_ratio=cfg.r0_ratio):
@@ -409,8 +415,8 @@ def _run_validate(cfg: RunConfig):
 
     stg = BeamState.gaussian(2.0)
     sc = ScatteringConfig(stg, TargetProfile.gaussian(20.0, (3.0, 0.0)), quad=tight2)
-    # The two nulls run on the 2-D route: the closed form gives every phi of
-    # a round beam one weight row, so they would hold by construction there.
+    # The nulls run on the lab-frame 2-D route: the closed form gives every phi
+    # of a round beam one weight row, so they would hold by construction there.
     vals = [event_density(sc, Kinematics.elastic(10.0, 10.0 * DEG, f), "quadrature2d").value
             for f in (0.0, 1.0, 2.0, 4.0)]
     spread = (max(vals) - min(vals)) / max(vals)

@@ -40,12 +40,11 @@ are provided:
   theta x phi grid) as one vector-valued integral on a shared panel set;
   ``event_density_cat_closed`` is its one-kinematics case.
 
-The 2-D momentum route takes the per-axis widths of the state.  Round
-beams are integrated in the frame rotated so that Qperp lies along +x;
-this is an exact change of variables (their Gaussian weight is isotropic)
-and makes their azimuthal symmetry exact instead of a quadrature accident.
-Interference terms keep their relative azimuth ``phi_r0 - phi``.  The
-anisotropic beam is integrated in the lab frame.
+The 2-D momentum route integrates every beam in the lab frame, with its
+per-axis widths, the lab-frame Qperp and the fringe vector 2 r0, so the
+azimuthal symmetry of the round beams is a result of its quadrature, not
+of its frame.  Only the closed form uses the frame with Qperp along +x
+for round beams, where one weight row then serves a whole phi scan.
 
 Wide-target mode takes the sigma_t -> infinity limit analytically: the
 displaced-packet weight and the offset factor tend to one and the result
@@ -212,53 +211,47 @@ def _momentum_density(cfg: ScatteringConfig, kin: Kinematics) -> EventDensity:
         t_one = int d2q f(|Q - q|)^2 exp(-2 (sigma_x^2 q_x^2 + sigma_y^2 q_y^2)),
         t_sum = the same integrand times 1 + cos(2 r0 . q),
 
-    over +/-4 inverse widths.  Round beams integrate in the frame with Qperp
-    along +x, the anisotropic beam in the lab frame.  A cat integrates both
-    rows as one integral on fringe-resolving panels; the other beams have no
-    fringe (sign = parity = 0) and integrate t_one alone.
+    over +/-4 inverse widths in the lab frame, split as the 4-D route splits
+    its momentum axes (:func:`~catscatter.states.phase_space_panels`).  A cat
+    integrates both rows as one integral, the beams without a fringe (parity
+    0) the weight row alone.  The reported errors add the weight's mass
+    outside the box, once to t_one and twice to t_sum (f <= 1, 1 + cos <= 2).
     """
     state = cfg.state
-    spec = cfg.quad or DEFAULT_SPEC_2D
     sx, sy = state.widths
     mt = momentum_transfer(kin)
-    if state.variant == ANISOTROPIC:
-        qx0, qy0 = mt.qperp
-    else:
-        qx0, qy0 = mt.qperp_mag, 0.0
+    qx0, qy0 = mt.qperp
     wx, wy, qz2 = -2.0 * sx ** 2, -2.0 * sy ** 2, mt.qz * mt.qz
-    box = phase_space_box(state.widths, state.r0_vec, 4.0, 4.0)[2:]
+    cx, cy = 2.0 * state.r0_vec
+    box = phase_space_box(state.widths, state.r0_vec, 4.0, 4.0)
 
-    def weighted_f2(qx, qy):
+    def rows(qx, qy):
         q = np.sqrt((qx0 - qx) ** 2 + (qy0 - qy) ** 2 + qz2)
         amp = hydrogen_amplitude(q)
-        return amp * amp * np.exp(wx * qx * qx + wy * qy * qy)
+        w = amp * amp * np.exp(wx * qx * qx + wy * qy * qy)
+        if not state.parity:
+            return w[None]
+        return np.stack([w, w * (1.0 + np.cos(cx * qx + cy * qy))])
 
-    if state.parity:
-        delta = state.phi_r0 - kin.phi
-        cx, cy = 2.0 * state.r0 * math.cos(delta), 2.0 * state.r0 * math.sin(delta)
-
-        def rows(qx, qy):
-            w = weighted_f2(qx, qy)
-            return np.stack([w, w * (1.0 + np.cos(cx * qx + cy * qy))])
-
-        splits = [max(4, oscillation_panels(iv.width, abs(c))) for iv, c in zip(box, (cx, cy))]
-        res = integrate_nd(rows, box, spec, initial_splits=splits)
-    else:
-        res = integrate_nd(weighted_f2, box, spec, initial_splits=[4, 4])
-    t, e = np.atleast_1d(res.value), np.atleast_1d(res.err_est)
+    res = integrate_nd(rows, box[2:], cfg.quad or DEFAULT_SPEC_2D,
+                       initial_splits=phase_space_panels(state, box)[2:])
+    # 1 - erf(4 sqrt 2)^2 by erfc, which keeps its digits.
+    tail = (math.pi / (2.0 * sx * sy) * math.erfc(4.0 * math.sqrt(2.0))
+            * (1.0 + math.erf(4.0 * math.sqrt(2.0))))
+    t, e = res.value, res.err_est
     return _bracket(cfg, QUADRATURE_2D, 2.0 * sx * sy / math.pi, sx * sy, math.pi ** 2,
-                    t[0], e[0], t[-1], e[-1])[0]
+                    t[0], e[0] + tail, t[-1], e[-1] + 2.0 * tail)[0]
 
 
 def event_density_gaussian(cfg: ScatteringConfig, kin: Kinematics) -> EventDensity:
     """Event density for the round Gaussian packet, and its anisotropic
-    generalization, by 2-D momentum quadrature.
+    generalization, by 2-D momentum quadrature in the lab frame.
 
     The target integral is analytic (Gaussian convolution): for the round
-    packet the offset enters only through ``exp(-b0^2/(2 Sigma^2))`` and
-    the result carries no azimuthal dependence at all.  The anisotropic
-    packet factorizes per axis with per-axis ``Sigma_j^2 = sigma_t^2 +
-    sigma_j^2`` and is integrated in the lab frame.
+    packet the offset enters only through ``exp(-b0^2/(2 Sigma^2))``, and
+    the exact result carries no azimuthal dependence, which the quadrature
+    reproduces only within its ``err_est``.  The anisotropic packet
+    factorizes per axis with per-axis ``Sigma_j^2 = sigma_t^2 + sigma_j^2``.
     """
     if cfg.state.variant not in (GAUSSIAN, ANISOTROPIC):
         raise UnsupportedVariant(

@@ -325,3 +325,43 @@ def test_odd_cat_invalid_separation_exits_one():
                            "--r0", "0.0001")
     assert code == 1
     assert "input error" in err
+
+
+def test_tol_keeps_the_method_subdivision_budget():
+    # The 4-D default tolerance is 1e-4, so --tol 1e-4 must change nothing;
+    # a spec with the 1-D budget of 10,000 subdivisions ran out here.
+    argv = ("scatter", "--state", "odd-cat", "--sigma-perp", "1", "--r0", "3",
+            "--phi-r0", "30", "--sigma-t", "6", "--b0x", "1", "--b0y", "2", "--pi", "10",
+            "--theta", "17", "--phi", "11", "--method", "general4d")
+    code, out, err = run_cli(*argv, "--tol", "1e-4")
+    assert (code, err) == (0, "")
+    assert out == run_cli(*argv)[1]
+
+
+@pytest.mark.parametrize("sub", ["asymmetry", "sweep"])
+def test_asymmetry_and_sweep_reject_a_theta_grid(sub, tmp_path):
+    axis = ["--axis", "pi", "--values", "10,20"] if sub == "sweep" else []
+    argv = [sub, *axis, "--state", "odd-cat", "--sigma-perp", "2", "--r0", "3", "--wide"]
+    code, out, err = run_cli(*argv, "--theta", "5:15:3")
+    assert (code, out) == (1, "")
+    assert err == f"input error: {sub} takes one --theta, got 3\n"
+    # The same grid read back from a sidecar is rejected the same way.
+    data = json.loads(_resolve(_build_parser().parse_args(argv)).to_json())
+    data["theta_deg"] = [5.0, 10.0, 15.0]
+    sidecar = tmp_path / "grid.config.json"
+    sidecar.write_text(json.dumps(data))
+    assert run_cli("--config", str(sidecar)) == (1, "", err)
+
+
+def test_r0_sweep_of_an_odd_cat_needs_no_r0(tmp_path):
+    out = tmp_path / "s.csv"
+    argv = ("--state", "odd-cat", "--sigma-perp", "2", "--wide", "--theta", "10")
+    code, _, err = run_cli("sweep", "--axis", "r0", "--values", "2,3", *argv,
+                           "--out", str(out))
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    for row, r0 in zip(rows, ("2", "3")):
+        single = run_cli("asymmetry", *argv, "--r0", r0)[1].splitlines()[1].split(",")
+        assert row[2] == single[2]
+    # The sidecar keeps the configuration as given.
+    assert json.loads((tmp_path / "s.csv.config.json").read_text())["r0"] == 0.0

@@ -1,5 +1,6 @@
-"""The closed form's err_est against independent 30-digit reference values,
-for the cats and for the beams without a fringe.
+"""The err_est of the closed form and of the 2-D momentum route against
+independent 30-digit reference values, for the cats and for the beams
+without a fringe.
 
 ``tests/data/closed_form_reference.json`` is written by
 ``tests/data/make_closed_form_reference.py`` (mpmath, x-domain integral);
@@ -12,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from catscatter import BeamState, Kinematics, ScatteringConfig, TargetProfile
-from catscatter.scattering import event_densities, event_density_cat_closed
+from catscatter.scattering import event_densities, event_density, event_density_cat_closed
 
 DATA = Path(__file__).parent / "data" / "closed_form_reference.json"
 
@@ -73,3 +74,11 @@ def test_closed_form_batch_err_est_bounds_reference_error():
     assert sum(map(len, batches)) >= 8
     for pts in batches:
         _assert_bounded(zip(event_densities(_config(pts[0]), map(_kinematics, pts)), pts))
+
+
+def test_quad2d_err_est_bounds_reference_error():
+    # Many points put the amplitude peak outside the +/-4/sigma momentum box,
+    # so the bound must carry the Gaussian mass the box leaves out.
+    points = json.loads(DATA.read_text())["points"]
+    _assert_bounded((event_density(_config(pt), _kinematics(pt), "quadrature2d"), pt)
+                    for pt in points)

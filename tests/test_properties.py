@@ -1,9 +1,10 @@
 """Property tests over the beam and kinematics parameter space: for the
 batched closed form, pi-periodicity and reflection symmetry of dnu(phi)
 about the separation azimuth, and nonnegativity; for the 2-D momentum
-route, the Gaussian and mixture nulls, the frame change and agreement with
-the closed form, for the cats and for the beams without a fringe; for the
-4-D oracle, agreement with the 2-D route."""
+route, which integrates every beam in the lab frame, the Gaussian and
+mixture nulls in phi and agreement with the closed form, for the cats and
+for the beams without a fringe; for the 4-D oracle, agreement with the 2-D
+route."""
 
 import math
 
@@ -72,9 +73,10 @@ def _agree(a, b):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(**ROUTE_2D)
 def test_route_2d_nulls_and_frames(sigma_perp, r0_ratio, theta, p, phi, phi_r0, wide):
-    """Gaussian and incoherent-pair densities are flat in phi, and the
-    anisotropic beam with equal widths (lab frame) is the round Gaussian
-    (Qperp-aligned frame)."""
+    """Gaussian and incoherent-pair densities are flat in phi.  Both beams
+    are integrated in the lab frame, so each phi is a different integrand
+    and the nulls test the quadrature; the anisotropic beam with equal
+    widths runs the same lab-frame integral as the round Gaussian."""
     target = TargetProfile.wide() if wide else TargetProfile.gaussian(20.0, (1.0, -0.5))
     kins = [Kinematics.elastic(p, theta, phi), Kinematics.elastic(p, theta, phi_r0)]
     r0 = r0_ratio * sigma_perp
