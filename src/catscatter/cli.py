@@ -173,6 +173,8 @@ class RunConfig:
                 raise _InputError(f"{flag} must be >= 1, got {n!r}")
         if self.subcommand in ("asymmetry", "sweep") and len(self.theta_deg) > 1:
             raise _InputError(f"{self.subcommand} takes one --theta, got {len(self.theta_deg)}")
+        if self.r0_ratio is not None and self.axis != "sigma-perp":
+            raise _InputError(f"--r0-ratio needs --axis sigma-perp, got {self.axis}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -341,9 +343,14 @@ def _run_sweep(cfg: RunConfig):
         raise _InputError("sweep needs --axis and --values")
     axis = _AXIS_BY_FLAG[cfg.axis]
     values = [v * DEG for v in cfg.values] if axis == "theta" else list(cfg.values)
-    # An r0 sweep starts at its first value: the default r0 = 0 is no odd cat.
-    base = replace(cfg, r0=values[0]) if axis == "r0" else cfg
-    spec = _asym_spec(base, cfg.theta_deg[0])
+    # The base state sits at the first swept point: the defaults it replaces
+    # (r0 = 0, say) need not make a valid state.
+    v0 = cfg.values[0]
+    at = {"theta_deg": [v0]} if axis == "theta" else {axis: v0}
+    if cfg.r0_ratio is not None:
+        at["r0"] = cfg.r0_ratio * v0
+    base = replace(cfg, **at)
+    spec = _asym_spec(base, base.theta_deg[0])
     rows_out = []
     scans = []
     for row in run_sweep(spec, axis, values, r0_ratio=cfg.r0_ratio):

@@ -354,12 +354,14 @@ def wigner_grid(state: BeamState, n: int, mode: str) -> tuple[np.ndarray, ...]:
     ``mode='slice'`` is the (u, p_u) plane along the separation axis with
     the transverse coordinates held at zero (the plotting convention
     ``y = p_y = 0`` when ``r0`` lies along x), spanning ``+/-(4 sigma + r0)``
-    in u and ``+/-4 / sigma`` in p_u; it returns ``(U, PU, W)``, indexed
-    ``[u, p_u]``.  ``mode='full'`` is the lab-frame 4-D box; it returns
-    ``(X, Y, PX, PY, W)``, indexed ``[x, y, p_x, p_y]``.
+    in u (r0 = 0 for single packets, as in ``r0_vec``) and ``+/-4 / sigma``
+    in p_u; it returns ``(U, PU, W)``, indexed ``[u, p_u]``.  ``mode='full'``
+    is the lab-frame 4-D box; it returns ``(X, Y, PX, PY, W)``, indexed
+    ``[x, y, p_x, p_y]``.
     """
     if mode == "slice":
-        u_box, _, p_box, _ = phase_space_box(state.widths, (state.r0, 0.0), 4.0, 4.0)
+        r0 = state.r0 if state.variant in _TWO_PACKET else 0.0
+        u_box, _, p_box, _ = phase_space_box(state.widths, (r0, 0.0), 4.0, 4.0)
         ex, ey = math.cos(state.phi_r0), math.sin(state.phi_r0)
         U, PU = np.meshgrid(phase_space_grid(u_box.lo, u_box.hi, n),
                             phase_space_grid(p_box.lo, p_box.hi, n), indexing="ij")

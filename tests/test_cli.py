@@ -365,3 +365,35 @@ def test_r0_sweep_of_an_odd_cat_needs_no_r0(tmp_path):
         assert row[2] == single[2]
     # The sidecar keeps the configuration as given.
     assert json.loads((tmp_path / "s.csv.config.json").read_text())["r0"] == 0.0
+
+
+@pytest.mark.parametrize("state", ["odd-cat", "even-cat"])
+def test_sigma_perp_sweep_with_a_ratio_needs_no_r0(state):
+    # The base state sits at the first point, sigma_perp = 1 and r0 = 1.5,
+    # not at the default r0 = 0, which is no odd cat.
+    argv = ("--state", state, "--wide", "--theta", "10")
+    code, out, err = run_cli("sweep", "--axis", "sigma-perp", "--values", "1,2",
+                             "--r0-ratio", "1.5", *argv)
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 2
+    for row, (sp, r0) in zip(rows, (("1", "1.5"), ("2", "3"))):
+        single = run_cli("asymmetry", *argv, "--sigma-perp", sp, "--r0", r0)
+        assert row[2] == single[1].splitlines()[1].split(",")[2]
+    if state == "even-cat":
+        assert rows[0][2] == "0.072395866839324988"
+
+
+@pytest.mark.parametrize("axis", ["r0", "theta", "pi"])
+def test_r0_ratio_off_the_sigma_perp_axis_exits_one(axis, tmp_path):
+    argv = ["sweep", "--axis", axis, "--values", "2,3", "--state", "even-cat",
+            "--sigma-perp", "2", "--r0", "3", "--wide", "--theta", "10"]
+    code, out, err = run_cli(*argv, "--r0-ratio", "1.5")
+    assert (code, out) == (1, "")
+    assert err == f"input error: --r0-ratio needs --axis sigma-perp, got {axis}\n"
+    # The same ratio read back from a sidecar is rejected the same way.
+    data = json.loads(_resolve(_build_parser().parse_args(argv)).to_json())
+    data["r0_ratio"] = 1.5
+    sidecar = tmp_path / "ratio.config.json"
+    sidecar.write_text(json.dumps(data))
+    assert run_cli("--config", str(sidecar)) == (1, "", err)

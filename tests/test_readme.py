@@ -1,9 +1,13 @@
-"""README's library examples run as written and print what the text says."""
+"""README's library examples and CLI lines run as written; the library
+examples print what the text says."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from catscatter.cli import run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -18,3 +22,18 @@ def test_readme_python_blocks_run(capsys):
     printed = capsys.readouterr().out.splitlines()
     # "print(res.A)  # about -0.057"
     assert float(printed[0]) == pytest.approx(-0.057, abs=5e-4)
+
+
+def test_readme_cli_lines_run(tmp_path):
+    block = re.search(r"^## CLI\n\n```bash\n(.*?)^```", README.read_text(encoding="utf-8"),
+                      flags=re.DOTALL | re.MULTILINE).group(1)
+    lines = [shlex.split(line)[1:] for line in block.splitlines()
+             if line.startswith("catscatter ")]
+    assert len(lines) >= 5
+    for i, argv in enumerate(lines):
+        if "--out" in argv:  # drop the README's file name
+            at = argv.index("--out")
+            del argv[at:at + 2]
+        out = tmp_path / f"{i}.out"
+        assert run([*argv, "--out", str(out)]) == 0, argv
+        assert out.read_text(encoding="utf-8")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
-from catscatter.errors import MissingSigma, UnsupportedVariant
+from catscatter.errors import MissingSigma
 from catscatter.quadrature import QuadratureSpec
 from catscatter.scattering import (
     EventDensity,
@@ -18,7 +18,7 @@ from catscatter.scattering import (
     event_density_general,
     validity_check,
 )
-from catscatter.states import BeamState, wigner_values
+from catscatter.states import BeamState, negativity_scan, wigner_grid, wigner_values
 from catscatter.targets import Kinematics, TargetProfile, hydrogen_amplitude
 
 DEG = math.pi / 180.0
@@ -232,6 +232,11 @@ def test_single_packet_ignores_a_stray_separation():
         moved = ScatteringConfig(state.with_r0(4.0), target)
         assert event_density_gaussian(moved, kin) == event_density_gaussian(
             ScatteringConfig(state, target), kin)
+        # The Wigner grids and scans keep their r0 = 0 boxes too.
+        for mode, n in (("slice", 64), ("full", 16)):
+            for a, b in zip(wigner_grid(moved.state, n, mode), wigner_grid(state, n, mode)):
+                np.testing.assert_array_equal(a, b)
+            assert negativity_scan(moved.state, mode=mode) == negativity_scan(state, mode=mode)
 
 
 def test_mixture_phi_scan_flat():
@@ -378,12 +383,26 @@ def test_dispatch_and_preconditions():
     for state in (BeamState.odd_cat(2.0, 4.0), BeamState.incoherent_pair(2.0, 4.0),
                   BeamState.anisotropic(1.0, 2.5)):
         assert event_density(wide_cfg(state), kin).method == "closed_form"
-    with pytest.raises(UnsupportedVariant):
-        event_density_cat_quadrature(gcfg, kin)
-    with pytest.raises(UnsupportedVariant):
-        event_density_gaussian(cfg, kin)
     with pytest.raises(ValueError):
         event_density_general(cfg, kin)  # wide target has no 4-D density
+
+
+@pytest.mark.parametrize("state", [
+    BeamState.gaussian(2.0), BeamState.even_cat(2.0, 3.0, phi_r0=0.3),
+    BeamState.odd_cat(1.5, 3.0), BeamState.incoherent_pair(2.0, 4.0),
+    BeamState.anisotropic(1.5, 2.5)])
+@pytest.mark.parametrize("target", [WIDE, TargetProfile.gaussian(8.0, (3.0, -1.0))])
+def test_one_2d_route_for_every_beam(state, target):
+    # Both public names are one function, which takes every beam.
+    assert event_density_gaussian is event_density_cat_quadrature
+    cfg = ScatteringConfig(state, target)
+    kin = Kinematics.elastic(10.0, 10.0 * DEG, 0.7)
+    q = event_density_cat_quadrature(cfg, kin)
+    assert event_density_gaussian(cfg, kin) == q
+    assert event_density(cfg, kin, "quadrature2d") == q
+    c = event_density_cat_closed(cfg, kin)
+    assert (q.method, q.wide_limit) == ("quadrature2d", target.wide_limit)
+    assert abs(q.value - c.value) <= q.err_est + c.err_est
 
 
 def test_anisotropic_wide_reduces_to_gaussian_when_round():
