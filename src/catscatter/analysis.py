@@ -173,14 +173,18 @@ def sweep(
 
     ``sigma_perp`` sweeps keep the absolute ``r0`` unless ``r0_ratio`` is
     given, in which case ``r0 = r0_ratio * sigma_perp`` at every point
-    (fixed reduced separation).  Per-point failures are recorded in-row
-    and the sweep continues.  Points are independent; with ``workers > 1``
-    they are evaluated concurrently and reassembled in input order.
+    (fixed reduced separation).  ``p_i`` sweeps set ``p_f = p_i`` at every
+    point, so an inelastic ``spec.kin_base`` raises ``ValueError``.
+    Per-point failures are recorded in-row and the sweep continues.  Points
+    are independent; with ``workers > 1`` they are evaluated concurrently
+    and reassembled in input order.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
     if not values:
         raise ValueError("values must be nonempty")
+    if axis == "p_i" and not spec.kin_base.is_elastic:
+        raise ValueError(f"a p_i sweep sets p_f = p_i, got inelastic {spec.kin_base}")
 
     def run(v: float) -> SweepRow:
         try:

@@ -175,6 +175,8 @@ class RunConfig:
             raise _InputError(f"{self.subcommand} takes one --theta, got {len(self.theta_deg)}")
         if self.r0_ratio is not None and self.axis != "sigma-perp":
             raise _InputError(f"--r0-ratio needs --axis sigma-perp, got {self.axis}")
+        if self.p_f is not None and self.axis == "pi":
+            raise _InputError("--pf cannot be set on --axis pi: each point is elastic at its p_i")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -300,8 +302,7 @@ def _phis(cfg: RunConfig) -> list[float]:
 def _run_wigner(cfg: RunConfig):
     cols = wigner_grid(build_state(cfg), cfg.grid, cfg.mode)
     header = ["x", "px", "w"] if cfg.mode == "slice" else ["x", "y", "px", "py", "w"]
-    rows = [tuple(float(v) for v in vals) for vals in zip(*(c.ravel() for c in cols))]
-    return header, rows, None
+    return header, np.column_stack([c.ravel() for c in cols]), None
 
 
 def _run_scatter(cfg: RunConfig):
@@ -461,18 +462,23 @@ def _run_validate(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def _render_csv(header: Sequence[str], rows: Sequence[tuple]) -> str:
-    out = [",".join(header)]
-    for row in rows:
-        out.append(",".join(v if isinstance(v, str) else fmt(v) for v in row))
-    return "\n".join(out) + "\n"
+def _render_csv(header: Sequence[str], rows) -> str:
+    """CSV of a 2-D float array, or of rows whose columns keep the types of
+    the first row: numbers as :func:`fmt` prints them, strings as they are.
+    The body is one ``%`` pass of a row template over the flat values."""
+    head = ",".join(header) + "\n"
+    if not len(rows):
+        return head
+    line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
+    flat = rows.ravel().tolist() if isinstance(rows, np.ndarray) else [v for r in rows for v in r]
+    return head + (line * len(rows)) % tuple(flat)
 
 
 def _render_json(cfg: RunConfig, header, rows, extra) -> str:
     payload = {
         "config": asdict(cfg),
         "columns": list(header),
-        "rows": [[v for v in row] for row in rows],
+        "rows": rows.tolist() if isinstance(rows, np.ndarray) else [list(row) for row in rows],
     }
     if extra:
         payload["extra"] = extra

@@ -257,10 +257,11 @@ def momentum_wavefunction(state: BeamState, p: Sequence[float]) -> complex:
 
 
 def wigner_values(state: BeamState, x, y, px, py) -> np.ndarray:
-    """Vectorized Wigner function over coordinate arrays (broadcastable)."""
-    x, y, px, py = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (x, y, px, py))
-    )
+    """Vectorized Wigner function at the broadcast shape of its inputs, which
+    are not broadcast: the packet bumps and fringe envelope run on the (x, y)
+    shape, the momentum Gaussian and cos(2 r0 . p) on the (p_x, p_y) shape,
+    and only their combination (and the anisotropic exponent) on the full one."""
+    x, y, px, py = (np.asarray(a, dtype=float) for a in (x, y, px, py))
     if state.variant == ANISOTROPIC:
         sx, sy = state.sigma_x, state.sigma_y
         return np.exp(
@@ -357,20 +358,25 @@ def wigner_grid(state: BeamState, n: int, mode: str) -> tuple[np.ndarray, ...]:
     in u (r0 = 0 for single packets, as in ``r0_vec``) and ``+/-4 / sigma``
     in p_u; it returns ``(U, PU, W)``, indexed ``[u, p_u]``.  ``mode='full'``
     is the lab-frame 4-D box; it returns ``(X, Y, PX, PY, W)``, indexed
-    ``[x, y, p_x, p_y]``.
+    ``[x, y, p_x, p_y]``.  W runs on the open mesh of the axes (see
+    :func:`wigner_values`); the coordinates are read-only broadcast views.
     """
     if mode == "slice":
         r0 = state.r0 if state.variant in _TWO_PACKET else 0.0
         u_box, _, p_box, _ = phase_space_box(state.widths, (r0, 0.0), 4.0, 4.0)
         ex, ey = math.cos(state.phi_r0), math.sin(state.phi_r0)
-        U, PU = np.meshgrid(phase_space_grid(u_box.lo, u_box.hi, n),
-                            phase_space_grid(p_box.lo, p_box.hi, n), indexing="ij")
-        return U, PU, wigner_values(state, U * ex, U * ey, PU * ex, PU * ey)
-    if mode != "full":
+        axes = U, PU = np.meshgrid(phase_space_grid(u_box.lo, u_box.hi, n),
+                                   phase_space_grid(p_box.lo, p_box.hi, n),
+                                   indexing="ij", sparse=True)
+        w = wigner_values(state, U * ex, U * ey, PU * ex, PU * ey)
+    elif mode == "full":
+        box = phase_space_box(state.widths, state.r0_vec, 4.0, 4.0)
+        axes = np.meshgrid(*(phase_space_grid(iv.lo, iv.hi, n) for iv in box),
+                           indexing="ij", sparse=True)
+        w = wigner_values(state, *axes)
+    else:
         raise ValueError(f"mode must be 'slice' or 'full', got {mode!r}")
-    box = phase_space_box(state.widths, state.r0_vec, 4.0, 4.0)
-    axes = np.meshgrid(*(phase_space_grid(iv.lo, iv.hi, n) for iv in box), indexing="ij")
-    return (*axes, wigner_values(state, *axes))
+    return (*(np.broadcast_to(a, w.shape) for a in axes), w)
 
 
 def negativity_scan(
@@ -397,14 +403,14 @@ def negativity_scan(
     if grid_n < 16:
         raise ValueError("grid_n must be >= 16")
     *coords, w = wigner_grid(state, grid_n, mode)
+    at = np.unravel_index(int(np.argmin(w)), w.shape)
+    loc = [c[at] for c in coords]
     if mode == "slice":
-        U, PU = coords
-        ex, ey = math.cos(state.phi_r0), math.sin(state.phi_r0)
-        coords = (U * ex, U * ey, PU * ex, PU * ey)
-    flat = int(np.argmin(w))
-    x, y, px, py = (float(c.ravel()[flat]) for c in coords)
+        (u, pu), ex, ey = loc, math.cos(state.phi_r0), math.sin(state.phi_r0)
+        loc = (u * ex, u * ey, pu * ex, pu * ey)
+    x, y, px, py = map(float, loc)
     return NegativityScan(
-        min_value=float(w.min()),
+        min_value=float(w[at]),
         min_location=PhasePoint(r=(x, y), p=(px, py)),
         negative_volume_fraction=float(np.count_nonzero(w < 0.0) / w.size),
         grid_n=grid_n,

@@ -92,11 +92,15 @@ class Kinematics:
             raise ValueError("momenta must be > 0")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError("theta must lie in [0, pi]")
-        if abs(self.p_f - self.p_i) > 1e-9 * self.p_i:
+        if not self.is_elastic:
             warnings.warn(
                 f"inelastic kinematics: p_f={self.p_f} differs from p_i={self.p_i}",
                 stacklevel=3,
             )
+
+    @property
+    def is_elastic(self) -> bool:  # p_f = p_i to 1e-9 relative
+        return abs(self.p_f - self.p_i) <= 1e-9 * self.p_i
 
     @classmethod
     def elastic(cls, p: float, theta: float, phi: float = 0.0) -> "Kinematics":

@@ -190,6 +190,16 @@ def test_sweep_workers_preserve_order():
     assert [r.result.A for r in par] == [r.result.A for r in seq]
 
 
+def test_p_i_sweep_rejects_inelastic_kinematics():
+    with pytest.warns(UserWarning, match="inelastic"):
+        kin = Kinematics(10.0, 12.0, 8.0 * DEG)
+    spec = replace(spec_for(BeamState.even_cat(2.0, 3.0)), kin_base=kin)
+    with pytest.raises(ValueError, match="p_i sweep"):
+        sweep(spec, "p_i", [10.0, 20.0])
+    with pytest.warns(UserWarning, match="inelastic"):  # other axes keep p_f
+        assert sweep(spec, "r0", [3.0])[0].result is not None
+
+
 def test_sweep_rejects_bad_axis_and_empty_values():
     with pytest.raises(ValueError):
         sweep(spec_for(BeamState.gaussian(2.0)), "nope", [1.0])

@@ -5,9 +5,11 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from catscatter.cli import DEG, RunConfig, _build_parser, _resolve, fmt, parse_grid, run
+from catscatter.cli import (DEG, RunConfig, _build_parser, _render_csv, _resolve, fmt,
+                            parse_grid, run)
 from catscatter.scattering import ScatteringConfig, event_density_cat_closed
 from catscatter.states import BeamState, negativity_scan
 from catscatter.targets import Kinematics, TargetProfile
@@ -74,6 +76,39 @@ def test_full_wigner_export_minimum_is_the_negativity_scan_minimum():
                            mode="full", grid_n=16)
     assert scan.min_value < 0.0
     assert min(w) == scan.min_value
+
+
+def reference_csv(header, rows):
+    """Reference CSV renderer: one ``fmt`` call per value."""
+    out = [",".join(header)]
+    for row in rows:
+        out.append(",".join(v if isinstance(v, str) else fmt(v) for v in row))
+    return "\n".join(out) + "\n"
+
+
+def test_one_pass_renderer_writes_the_per_value_bytes():
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+    rows = [(v, np.float64(v), 3, "closed_form") for v in specials]
+    rows += [(0.1, np.float64(-2.5e-7), -12, "100% odd,ly named"),
+             (2.0, math.nan, math.nan, "error:ValueError: r0 must be >= 0")]
+    header = ["a", "b", "c", "tag"]
+    assert _render_csv(header, rows) == reference_csv(header, rows)
+    table = np.array([specials, specials[::-1], [0.1, -0.2, 1e-300, 7.0, 3.0, -1.0]])
+    assert _render_csv(list("abcdef"), table) == reference_csv(list("abcdef"), table.tolist())
+    for empty in ([], np.empty((0, 3))):
+        assert _render_csv(["x", "px", "w"], empty) == "x,px,w\n"
+
+
+@pytest.mark.parametrize("mode,grid", [("slice", "32"), ("full", "8")])
+def test_wigner_json_rows_are_the_csv_floats(mode, grid):
+    argv = ("wigner", "--state", "odd-cat", "--sigma-perp", "2", "--r0", "3",
+            "--phi-r0", "20", "--mode", mode, "--grid", grid)
+    code, text, _ = run_cli(*argv)
+    assert code == 0
+    csv_rows = [[float(v) for v in line.split(",")] for line in text.splitlines()[1:]]
+    code, text, _ = run_cli(*argv, "--format", "json")
+    assert code == 0
+    assert json.loads(text)["rows"] == csv_rows
 
 
 def test_scatter_phi_grid_is_flat_for_gaussian():
@@ -382,6 +417,22 @@ def test_sigma_perp_sweep_with_a_ratio_needs_no_r0(state):
         assert row[2] == single[1].splitlines()[1].split(",")[2]
     if state == "even-cat":
         assert rows[0][2] == "0.072395866839324988"
+
+
+def test_pi_sweep_rejects_a_final_momentum(tmp_path):
+    argv = ["sweep", "--axis", "pi", "--values", "10,20", "--state", "even-cat",
+            "--sigma-perp", "2", "--r0", "3", "--sigma-t", "20", "--b0x", "1", "--theta", "8"]
+    code, out, err = run_cli(*argv, "--pf", "12")
+    assert (code, out) == (1, "")
+    assert err == "input error: --pf cannot be set on --axis pi: each point is elastic at its p_i\n"
+    # The same p_f read back from a sidecar is rejected the same way.
+    data = json.loads(_resolve(_build_parser().parse_args(argv)).to_json())
+    data["p_f"] = 12.0
+    sidecar = tmp_path / "pf.config.json"
+    sidecar.write_text(json.dumps(data))
+    assert run_cli("--config", str(sidecar)) == (1, "", err)
+    # Sweeps on other axes keep --pf.
+    assert RunConfig("sweep", axis="theta", values=[8.0], p_f=12.0).p_f == 12.0
 
 
 @pytest.mark.parametrize("axis", ["r0", "theta", "pi"])

@@ -16,6 +16,7 @@ from catscatter.states import (
     phase_space_grid,
     phase_space_panels,
     wigner,
+    wigner_grid,
     wigner_normalization,
     wigner_values,
 )
@@ -306,6 +307,64 @@ def test_slice_scan_follows_the_separation_axis(phi_r0):
     s = negativity_scan(BeamState.even_cat(1.0, 6.0, phi_r0=phi_r0))
     assert s.negative_volume_fraction == ref.negative_volume_fraction
     assert s.min_value == pytest.approx(ref.min_value, rel=1e-12)
+
+
+# All five beams; the cats and the mixture at oblique separations.
+FIVE_BEAMS = [
+    BeamState.gaussian(1.7),
+    BeamState.even_cat(2.0, 3.1, phi_r0=0.7),
+    BeamState.odd_cat(1.9, 2.6, phi_r0=2.3),
+    BeamState.incoherent_pair(2.2, 3.5, phi_r0=1.1),
+    BeamState.anisotropic(1.8, 2.6),
+]
+
+
+def dense_grid(state, n, mode):
+    """The dense meshgrid of ``wigner_grid``'s axes, W on it, and the lab
+    coordinates W was evaluated at."""
+    *views, _ = wigner_grid(state, n, mode)
+    d = len(views)
+    axes = [v[(0,) * k + (slice(None),) + (0,) * (d - 1 - k)] for k, v in enumerate(views)]
+    dense = np.meshgrid(*axes, indexing="ij")
+    lab = dense
+    if mode == "slice":
+        (u, pu), ex, ey = dense, math.cos(state.phi_r0), math.sin(state.phi_r0)
+        lab = [u * ex, u * ey, pu * ex, pu * ey]
+    return dense, wigner_values(state, *lab), lab
+
+
+@pytest.mark.parametrize("mode,n", [("slice", 64), ("full", 16)])
+@pytest.mark.parametrize("state", FIVE_BEAMS, ids=lambda s: s.variant)
+def test_open_mesh_grid_equals_the_dense_grid(state, mode, n):
+    *coords, w = wigner_grid(state, n, mode)
+    dense, w_dense, _ = dense_grid(state, n, mode)
+    assert w.shape == w_dense.shape == (n,) * len(coords)
+    assert np.array_equal(w, w_dense)
+    for c, c_dense in zip(coords, dense):
+        assert np.array_equal(c, c_dense)
+        assert not c.flags.writeable
+
+
+@pytest.mark.parametrize("mode,n", [("slice", 64), ("full", 16)])
+@pytest.mark.parametrize("state", FIVE_BEAMS, ids=lambda s: s.variant)
+def test_negativity_scan_equals_a_scan_of_the_dense_grid(state, mode, n):
+    _, w, lab = dense_grid(state, n, mode)
+    flat = int(np.argmin(w))
+    x, y, px, py = (float(c.ravel()[flat]) for c in lab)
+    s = negativity_scan(state, grid_n=n, mode=mode)
+    assert s.min_value == float(w.min())
+    assert s.min_location == PhasePoint(r=(x, y), p=(px, py))
+    assert s.negative_volume_fraction == float(np.count_nonzero(w < 0.0) / w.size)
+
+
+@pytest.mark.parametrize("state", FIVE_BEAMS, ids=lambda s: s.variant)
+def test_wigner_values_returns_the_broadcast_shape(state):
+    x, y = np.linspace(-3.0, 3.0, 5)[:, None, None], np.array([[[0.4]]])
+    px, py = np.linspace(-1.0, 1.0, 3)[None, :, None], np.linspace(-0.5, 0.5, 2)
+    w = wigner_values(state, x, y, px, py)
+    assert w.shape == (5, 3, 2)
+    assert np.array_equal(w, wigner_values(state, *np.broadcast_arrays(x, y, px, py)))
+    assert type(wigner(state, PhasePoint((0.3, -0.2), (0.1, 0.05)))) is float
 
 
 def test_scan_box_coverage_enforced():
