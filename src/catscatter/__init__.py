@@ -66,6 +66,7 @@ from .scattering import (
     cross_section,
     event_density,
     event_densities,
+    event_density_scan,
     event_density_cat_closed,
     event_density_cat_quadrature,
     event_density_gaussian,

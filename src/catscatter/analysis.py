@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateDenominator, FlatDistribution, TooFewPoints
-from .scattering import ScatteringConfig, event_densities
+from .scattering import ScatteringConfig, event_densities, event_density_scan
 from .targets import Kinematics
 
 __all__ = [
@@ -113,19 +113,20 @@ def azimuthal_asymmetry(spec: AsymmetrySpec) -> AsymmetryResult:
     """Evaluate the azimuthal asymmetry with its full phi scan.
 
     Only the q + 1 azimuths phi_r0 + (pi/2)(k/q), k = 0..q, are computed,
-    in one :func:`event_densities` call.  dnu is pi-periodic and even about
-    phi_r0, so scan entry k equals sample min(k mod 2q, 2q - k mod 2q) and
-    is copied from it exactly.
+    as one array by :func:`~catscatter.scattering.event_density_scan`,
+    which the closed form evaluates without a per-azimuth kinematics or
+    result object.  dnu is pi-periodic and even about phi_r0, so scan entry
+    k equals sample min(k mod 2q, 2q - k mod 2q) and is copied from it
+    exactly.
 
     Raises ``DegenerateDenominator`` when both azimuthal samples vanish
     (below 1e-300), which can only happen for unphysical inputs.
     """
     phis = _phi_grid(spec)
     q = len(phis) // 4
-    eds = event_densities(spec.cfg, [spec.kin_base.with_phi(float(p)) for p in phis[:q + 1]],
-                          method=spec.method)
+    values, _ = event_density_scan(spec.cfg, spec.kin_base, phis[:q + 1], method=spec.method)
     k = np.arange(4 * q) % (2 * q)
-    vals = [eds[j].value for j in np.minimum(k, 2 * q - k)]
+    vals = values[np.minimum(k, 2 * q - k)].tolist()
     scan = tuple(zip(phis.tolist(), vals))
     if spec.metric == "para_perp":
         a_val = _para_perp(vals[0], vals[q])

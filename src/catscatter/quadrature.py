@@ -9,7 +9,9 @@ The engine subdivides panels carrying an embedded (nested) rule pair:
   cubature in moderate dimension.
 
 Refinement is global: on every round the boxes holding the dominant error
-are bisected along the axis with the largest fourth-difference indicator.
+are bisected along the axis with the largest error indicator, taken over
+the rows: Genz-Malik's fourth difference in 4-D, the mixed rule (Gauss on
+that axis, Kronrod on the other) in 2-D.  A 1-D panel is simply halved.
 A vector-valued integrand (one row per integrand of a batch) shares one
 panel set across its rows; each row must meet its own tolerance, and a
 round splits the boxes holding the largest error-to-tolerance ratio among
@@ -194,12 +196,16 @@ class _EmbeddedRule:
     """A rule pair ``w_high``/``w_low`` on the reference box [-1, 1]^d."""
 
     def apply(self, vals: np.ndarray, halves: np.ndarray):
-        """vals: (nbox, npts); halves: (nbox, d) half-widths.  Returns the
-        panel values, their error bounds and the per-axis split scores."""
+        """vals: (rows, nbox, npts); halves: (nbox, d) half-widths.  Returns
+        the panel values and error bounds, (rows, nbox), and each box's
+        split axis: the largest per-axis indicator over the rows, and axis
+        0 without one on a single axis."""
         scale = np.prod(halves, axis=1)
         high = vals @ self.w_high
         low = vals @ self.w_low
-        return high * scale, np.abs(high - low) * scale, self.scores(vals, high)
+        axis = (np.zeros(len(halves), dtype=np.intp) if halves.shape[1] == 1
+                else np.argmax(self.scores(vals, high).max(axis=0), axis=1))
+        return high * scale, np.abs(high - low) * scale, axis
 
 
 class _TensorGaussKronrod(_EmbeddedRule):
@@ -219,7 +225,7 @@ class _TensorGaussKronrod(_EmbeddedRule):
         self.w_high = tensor([_WGK] * ndim)
         self.w_low = tensor([_WG_EMBEDDED] * ndim)
         # Mixed weights (Gauss on one axis, Kronrod elsewhere) give a
-        # per-axis error indicator used to pick the split direction.
+        # per-axis error indicator used to pick the split direction in 2-D.
         self.w_axis = [
             tensor([_WG_EMBEDDED if i == ax else _WGK for i in range(ndim)])
             for ax in range(ndim)
@@ -308,18 +314,21 @@ def _rule_for(ndim: int):
 
 
 def _initial_boxes(edges: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    def corners(sides):
-        return np.stack([a.ravel() for a in np.meshgrid(*sides, indexing="ij")], axis=-1)
-    return corners([e[:-1] for e in edges]), corners([e[1:] for e in edges])
+    # Lower and upper panel corners, (nbox, d), in "ij" order: the first axis varies slowest.
+    d = len(edges)
+    lo, hi = np.empty((2, *[len(e) - 1 for e in edges], d))
+    for k, e in enumerate(edges):
+        lo[..., k], hi[..., k] = (s.reshape((-1,) + (1,) * (d - 1 - k)) for s in (e[:-1], e[1:]))
+    return lo.reshape(-1, d), hi.reshape(-1, d)
 
 
 def _evaluate(f: Callable, rule, lo: np.ndarray, hi: np.ndarray,
               rows: int | None, first: bool = False):
-    """Per-row panel values and errors, shape (rows, nbox), the split
-    indicators, shape (nbox, d), taken as the largest over the rows, and
-    ``rows``: None for a scalar integrand, else the batch size B, which the
-    ``first`` output fixes.  ``f`` takes whole boxes, at most ``_CHUNK``
-    abscissae x rows per call (one row until ``rows`` is fixed)."""
+    """Per-row panel values and errors, shape (rows, nbox), each box's
+    split axis, shape (nbox,), and ``rows``: None for a scalar integrand,
+    else the batch size B, which the ``first`` output fixes.  ``f`` takes
+    whole boxes, at most ``_CHUNK`` abscissae x rows per call (one row
+    until ``rows`` is fixed)."""
     parts, start = [], 0
     while start < len(lo):
         box = slice(start, start + max(1, _CHUNK // (rule.npts * (rows or 1))))
@@ -342,12 +351,11 @@ def _evaluate(f: Callable, rule, lo: np.ndarray, hi: np.ndarray,
         if not np.isfinite(vals).all():
             raise NonFiniteIntegrand("integrand returned a non-finite value")
         # A scalar integrand is the one-row case of a batch.
-        value, err, scores = rule.apply(vals[None] if rows is None else vals, half)
-        parts.append((value, err, scores.max(axis=0)))
+        parts.append(rule.apply(vals[None] if rows is None else vals, half))
         start = box.stop
-    values, errs, scores = zip(*parts)
-    return (np.concatenate(values, axis=1), np.concatenate(errs, axis=1),
-            np.concatenate(scores), rows)
+    if len(parts) > 1:
+        parts = [[np.concatenate(p, axis=-1) for p in zip(*parts)]]
+    return (*parts[0], rows)
 
 
 # Abscissae x rows per integrand call, so a round's memory stays bounded
@@ -375,8 +383,8 @@ def _adapt(f: Callable, edges: Sequence[np.ndarray], spec: QuadratureSpec) -> Qu
     rule = _rule_for(len(edges))
     n_initial = math.prod(len(e) - 1 for e in edges)
     lo, hi = _initial_boxes(edges)
-    # values, errs: (rows, nbox); scores: (nbox, d)
-    values, errs, scores, rows = _evaluate(f, rule, lo, hi, None, first=True)
+    # values, errs: (rows, nbox); split_axis: (nbox,)
+    values, errs, split_axis, rows = _evaluate(f, rule, lo, hi, None, first=True)
     subdivisions = 0
 
     while True:
@@ -392,9 +400,8 @@ def _adapt(f: Callable, edges: Sequence[np.ndarray], spec: QuadratureSpec) -> Qu
         # row is left, as for a scalar integrand).
         scale = max(tol_a.max(), _TINY) / np.maximum(tol_a, _TINY)
         priority = (err_a * scale[:, None]).max(axis=0)
-        split_axis = np.argmax(scores, axis=1)
         splittable = np.take_along_axis(hi - lo, split_axis[:, None], axis=1).ravel() > 0.0
-        order = np.lexsort((np.arange(len(priority)), -priority))
+        order = np.argsort(-priority, kind="stable")
         order = order[splittable[order]]
         if not len(order):
             raise _stalled("tolerance not met and no panel is splittable",
@@ -422,12 +429,12 @@ def _adapt(f: Callable, edges: Sequence[np.ndarray], spec: QuadratureSpec) -> Qu
 
         keep = np.ones(len(priority), dtype=bool)
         keep[picked] = False
-        v_new, e_new, s_new, _ = _evaluate(
+        v_new, e_new, a_new, _ = _evaluate(
             f, rule, np.concatenate([lo_l, lo_r]), np.concatenate([hi_l, hi_r]), rows
         )
         values = np.concatenate([values[:, keep], v_new], axis=1)
         errs = np.concatenate([errs[:, keep], e_new], axis=1)
-        scores = np.concatenate([scores[keep], s_new])
+        split_axis = np.concatenate([split_axis[keep], a_new])
         lo = np.concatenate([lo[keep], lo_l, lo_r])
         hi = np.concatenate([hi[keep], hi_l, hi_r])
 

@@ -39,7 +39,8 @@ are provided:
 
   ``event_densities`` evaluates a whole list of kinematics (a phi scan, a
   theta x phi grid) as one vector-valued integral on a shared panel set;
-  ``event_density_cat_closed`` is its one-kinematics case.
+  ``event_density_cat_closed`` is its one-kinematics case, and
+  ``event_density_scan`` gives a phi scan's values as arrays.
 
 The 2-D momentum route integrates every beam in the lab frame, with its
 per-axis widths, the lab-frame Qperp and the fringe vector 2 r0, so the
@@ -100,6 +101,7 @@ __all__ = [
     "event_density_cat_closed",
     "event_density",
     "event_densities",
+    "event_density_scan",
     "cross_section",
     "validity_check",
 ]
@@ -169,10 +171,11 @@ def _target_weights(state: BeamState, target: TargetProfile) -> tuple[float, flo
             gauss(b0x, b0y))
 
 
-def _bracket(cfg: ScatteringConfig, method: str, wide_pref: float, c: float, d: float,
-             t_one, e_one, t_sum, e_sum) -> list[EventDensity]:
-    """pref (bw t_one + sign off t_cos) / (1 + sign overlap) per entry of the
-    weight integrals t_one and the fringe rows t_sum = t_one + t_cos.
+def _bracket(cfg: ScatteringConfig, wide_pref: float, c: float, d: float,
+             t_one, e_one, t_sum, e_sum) -> tuple[np.ndarray, np.ndarray]:
+    """(value, err_est) of pref (bw t_one + sign off t_cos) / (1 + sign
+    overlap), entry by entry over the weight integrals t_one and the fringe
+    rows t_sum = t_one + t_cos: arrays for arrays, scalars for scalars.
 
     A fringe row integrates weight * (1 + fringe), not the bare fringe: its
     tolerance then scales with the weight, the size of the event density,
@@ -191,9 +194,14 @@ def _bracket(cfg: ScatteringConfig, method: str, wide_pref: float, c: float, d: 
     c_one = bw - sign * off
     value = pref * (c_one * t_one + sign * off * t_sum) / norm
     err = pref * (abs(c_one) * e_one + abs(sign * off) * e_sum) / norm
-    ssq = _sigma_sq(state, target)
-    return [EventDensity(float(v), method, float(e), ssq, target.wide_limit, cfg.n_e)
-            for v, e in zip(np.atleast_1d(value), np.atleast_1d(err))]
+    return value, err
+
+
+def _views(cfg: ScatteringConfig, method: str, value, err) -> list[EventDensity]:
+    """One :class:`EventDensity` per entry of the (value, err_est) arrays."""
+    ssq = _sigma_sq(cfg.state, cfg.target)
+    return [EventDensity(v, method, e, ssq, cfg.target.wide_limit, cfg.n_e)
+            for v, e in zip(np.atleast_1d(value).tolist(), np.atleast_1d(err).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +249,9 @@ def event_density_cat_quadrature(cfg: ScatteringConfig, kin: Kinematics) -> Even
     tail = (math.pi / (2.0 * sx * sy) * math.erfc(4.0 * math.sqrt(2.0))
             * (1.0 + math.erf(4.0 * math.sqrt(2.0))))
     t, e = res.value, res.err_est
-    return _bracket(cfg, QUADRATURE_2D, 2.0 * sx * sy / math.pi, sx * sy, math.pi ** 2,
-                    t[0], e[0] + tail, t[-1], e[-1] + 2.0 * tail)[0]
+    value, err = _bracket(cfg, 2.0 * sx * sy / math.pi, sx * sy, math.pi ** 2,
+                          t[0], e[0] + tail, t[-1], e[-1] + 2.0 * tail)
+    return _views(cfg, QUADRATURE_2D, value, err)[0]
 
 
 # A second name of the same function, kept while the benchmark harness calls it.
@@ -258,10 +267,14 @@ def event_density_cat_closed(cfg: ScatteringConfig, kin: Kinematics) -> EventDen
     """Event density off hydrogen via the 1-D closed form (see the module
     docstring), for every beam: the one-kinematics case of
     :func:`event_densities`."""
-    return _cat_closed_batch(cfg, [kin])[0]
+    return event_densities(cfg, [kin])[0]
 
 
-def _cat_closed_batch(cfg: ScatteringConfig, kins: list[Kinematics]) -> list[EventDensity]:
+def _closed_form(cfg: ScatteringConfig, q_w: np.ndarray, row_of: np.ndarray,
+                 phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, err_est) arrays at up to 64 kinematics j of azimuth phis[j]
+    and weight row row_of[j] with (Qz, Q_x, Q_y) q_w[row_of[j]]: lab-frame
+    components for the anisotropic beam, (Qz, |Qperp|, 0) for round beams."""
     state = cfg.state
     beta = 0.25
     # u follows the narrower axis a; the other axis b enters through
@@ -272,25 +285,11 @@ def _cat_closed_batch(cfg: ScatteringConfig, kins: list[Kinematics]) -> list[Eve
     s8 = 1.0 / (8.0 * sa ** 2)
     rho = (sa / sb) ** 2
     c_sep = state.r0 ** 2 / (2.0 * sa ** 2)
-    lab = state.variant == ANISOTROPIC
 
-    # One weight row per distinct (p_i, p_f, theta), with (Qz, Q_a, Q_b) of
-    # its first kinematics (per phi as well for the lab-frame anisotropic
-    # beam), and one weight * (1 + fringe) row per kinematics of a cat.
-    group: dict[tuple, int] = {}
-    q_w = []
-    row_of = np.empty(len(kins), dtype=int)
-    for j, kin in enumerate(kins):
-        key = (kin.p_i, kin.p_f, kin.theta, kin.phi if lab else None)
-        if key not in group:
-            mt = momentum_transfer(kin)
-            group[key] = len(q_w)
-            q_w.append((mt.qz, mt.qperp[ax], mt.qperp[1 - ax]) if lab
-                       else (mt.qz, mt.qperp_mag, 0.0))
-        row_of[j] = group[key]
-    q_w = np.array(q_w)
+    # Weight rows as (Qz, Q_a, Q_b), then a cat's weight * (1 + fringe) rows.
+    q_w = q_w[:, [0, 1 + ax, 2 - ax]]
     qz2, qa2, qb2 = (q_w.T ** 2)[:, :, None, None]
-    phis = np.array([kin.phi for kin in kins]) if state.parity else np.empty(0)
+    phis = phis if state.parity else phis[:0]
 
     n_w, n_f = len(q_w), len(phis)
     fa = (2.0 * state.r0 * q_w[row_of[:n_f], 1] * np.cos(state.phi_r0 - phis))[:, None, None]
@@ -327,7 +326,7 @@ def _cat_closed_batch(cfg: ScatteringConfig, kins: list[Kinematics]) -> list[Eve
     # A beam without fringe rows passes its weights twice: _bracket scales
     # the fringe term by its parity, 0.
     fr = slice(n_w, None) if n_f else row_of
-    return _bracket(cfg, CLOSED_FORM, beta, beta, 2.0 * math.pi,
+    return _bracket(cfg, beta, beta, 2.0 * math.pi,
                     res.value[row_of], res.err_est[row_of], res.value[fr], res.err_est[fr])
 
 
@@ -400,24 +399,38 @@ def event_densities(
 ) -> list[EventDensity]:
     """:func:`event_density` for many kinematics sharing ``cfg``, in order.
 
-    ``auto`` is the closed form for every beam.  It integrates up to 64
-    kinematics at a time as one vector-valued integral on a shared panel
-    set: one weight row per distinct (p_i, p_f, theta), and per phi as well
-    for the anisotropic beam, plus one fringe row per kinematics of a cat,
-    each row meeting the tolerance on its own.  A round beam's phi scan
-    thus shares one weight row.  The cap of 64 bounds cost, not memory:
-    every row of a batch runs on the panels its fastest row needs.  Every
-    row lives on u in [0, 1), and the fastest fringe fixes the initial
-    panels at pi/2 of phase each, the first halved down to the narrowest
-    weight's width.  A whole theta profile is one call.  Results are deterministic for a given list, and
-    agree with the one-at-a-time values within their error estimates.
-    The 2-D and 4-D methods run per point.
+    ``auto`` is the closed form for every beam.  Its array core integrates
+    up to 64 kinematics at a time as one vector-valued integral on a shared
+    panel set: one weight row per distinct (p_i, p_f, theta), and per phi
+    as well for the anisotropic beam, plus one fringe row per kinematics of
+    a cat, each row meeting the tolerance on its own.  A round beam's phi
+    scan thus shares one weight row.  The cap of 64 bounds cost, not
+    memory: every row of a batch runs on the panels its fastest row needs.
+    Every row lives on u in [0, 1), and the fastest fringe fixes the
+    initial panels at pi/2 of phase each, the first halved down to the
+    narrowest weight's width.  A whole theta profile is one call.  Each
+    :class:`EventDensity` is the one-point view of the core's (value,
+    err_est) arrays, which :func:`event_density_scan` returns as they are.
+    Results are deterministic for a given list, and agree with the
+    one-at-a-time values within their error estimates.  The 2-D and 4-D
+    methods run per point.
     """
     kins = list(kins)
     if method in ("auto", CLOSED_FORM):
+        lab = cfg.state.variant == ANISOTROPIC
         out: list[EventDensity] = []
         for i in range(0, len(kins), _BATCH_KINEMATICS):
-            out += _cat_closed_batch(cfg, kins[i:i + _BATCH_KINEMATICS])
+            batch, group, q_w = kins[i:i + _BATCH_KINEMATICS], {}, []
+            row_of = np.empty(len(batch), dtype=int)
+            for j, kin in enumerate(batch):
+                key = (kin.p_i, kin.p_f, kin.theta, kin.phi if lab else None)
+                if key not in group:  # a weight row from its first kinematics
+                    mt = momentum_transfer(kin)
+                    group[key] = len(q_w)
+                    q_w.append((mt.qz, *mt.qperp) if lab else (mt.qz, mt.qperp_mag, 0.0))
+                row_of[j] = group[key]
+            out += _views(cfg, CLOSED_FORM, *_closed_form(
+                cfg, np.array(q_w), row_of, np.array([kin.phi for kin in batch])))
         return out
     if method == GENERAL_4D:
         route = event_density_general
@@ -426,6 +439,27 @@ def event_densities(
     else:
         raise ValueError(f"unknown method {method!r}")
     return [route(cfg, k) for k in kins]
+
+
+def event_density_scan(cfg: ScatteringConfig, kin_base: Kinematics, phis: Sequence[float],
+                       method: str = "auto") -> tuple[np.ndarray, np.ndarray]:
+    """(value, err_est) arrays of :func:`event_densities` at ``kin_base``
+    turned to each of the distinct azimuths ``phis``, bit for bit.  The
+    closed form builds one :class:`Kinematics` per batch of 64 and no
+    :class:`EventDensity`; the 2-D and 4-D methods run per point."""
+    if method not in ("auto", CLOSED_FORM) or not len(phis):
+        eds = event_densities(cfg, [kin_base.with_phi(float(p)) for p in phis], method)
+        return tuple(np.array([(ed.value, ed.err_est) for ed in eds]).reshape(-1, 2).T)
+    lab, parts = cfg.state.variant == ANISOTROPIC, []
+    for i in range(0, len(phis), _BATCH_KINEMATICS):
+        batch = np.asarray(phis[i:i + _BATCH_KINEMATICS], dtype=float)
+        kin = kin_base.with_phi(float(batch[0]))
+        mt, qp = momentum_transfer(kin), kin.p_f * math.sin(kin.theta)  # as momentum_transfer
+        q_w = ([(mt.qz, qp * math.cos(p), qp * math.sin(p)) for p in batch.tolist()] if lab
+               else [(mt.qz, mt.qperp_mag, 0.0)])
+        row_of = np.arange(len(batch)) if lab else np.zeros(len(batch), dtype=int)
+        parts.append(_closed_form(cfg, np.array(q_w), row_of, batch))
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def cross_section(ed: EventDensity) -> float:

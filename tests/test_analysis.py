@@ -15,7 +15,14 @@ from catscatter.analysis import (
     sweep,
 )
 from catscatter.errors import DegenerateDenominator, FlatDistribution, TooFewPoints
-from catscatter.scattering import ScatteringConfig, event_densities, event_density
+from catscatter import scattering
+from catscatter.scattering import (
+    EventDensity,
+    ScatteringConfig,
+    event_densities,
+    event_density,
+    event_density_scan,
+)
 from catscatter.states import BeamState
 from catscatter.targets import Kinematics, TargetProfile
 
@@ -146,14 +153,71 @@ def test_reduced_scan_matches_a_full_scan(state, target, method, n):
 def test_scan_evaluates_only_the_distinct_azimuths(monkeypatch, n, distinct):
     sizes = []
 
-    def counting(cfg, kins, method="auto"):
-        sizes.append(len(kins))
-        return event_densities(cfg, kins, method=method)
+    def counting(cfg, kin_base, phis, method="auto"):
+        sizes.append(len(phis))
+        return event_density_scan(cfg, kin_base, phis, method=method)
 
-    monkeypatch.setattr(analysis, "event_densities", counting)
+    monkeypatch.setattr(analysis, "event_density_scan", counting)
     res = azimuthal_asymmetry(spec_for(BeamState.odd_cat(2.0, 3.0), phi_grid_n=n))
     assert sizes == [distinct]
     assert len(res.phi_scan) == 4 * (distinct - 1)
+
+
+# 300 samples hold 76 distinct azimuths, past the 64 kinematics of one batch.
+@pytest.mark.parametrize("n", [10, 64, 300])
+@pytest.mark.parametrize("target", [WIDE, TargetProfile.gaussian(20.0, (3.0, -2.0))],
+                         ids=["wide", "offset"])
+@pytest.mark.parametrize("state", FIVE_BEAMS, ids=lambda s: s.variant)
+def test_array_scan_equals_the_list_path_bit_for_bit(state, target, n):
+    spec = AsymmetrySpec(cfg=ScatteringConfig(state=state, target=target),
+                         kin_base=Kinematics.elastic(10.0, 10.0 * DEG),
+                         phi_grid_n=n, method="closed_form")
+    grid = _phi_grid(spec)
+    q = len(grid) // 4
+    eds = event_densities(spec.cfg, [spec.kin_base.with_phi(float(p)) for p in grid[:q + 1]])
+    values, errs = event_density_scan(spec.cfg, spec.kin_base, grid[:q + 1])
+    assert values.tolist() == [ed.value for ed in eds]
+    assert errs.tolist() == [ed.err_est for ed in eds]
+    k = np.arange(4 * q) % (2 * q)
+    want = [eds[j].value for j in np.minimum(k, 2 * q - k)]
+    res = azimuthal_asymmetry(spec)
+    assert [v for _, v in res.phi_scan] == want
+    assert res.A == (want[q] - want[0]) / (want[q] + want[0])
+
+
+@pytest.mark.parametrize("method", ["auto", "quadrature2d", "nope"])
+def test_an_empty_scan_gives_empty_arrays(method):
+    spec = spec_for(BeamState.even_cat(2.0, 4.0))
+    if method == "nope":
+        with pytest.raises(ValueError, match="unknown method"):
+            event_density_scan(spec.cfg, spec.kin_base, [], method=method)
+        return
+    values, errs = event_density_scan(spec.cfg, spec.kin_base, [], method=method)
+    assert values.shape == errs.shape == (0,)
+
+
+@pytest.mark.parametrize("state", FIVE_BEAMS, ids=lambda s: s.variant)
+def test_closed_form_scan_builds_no_per_azimuth_objects(monkeypatch, state):
+    cfg = ScatteringConfig(state=state, target=TargetProfile.gaussian(20.0, (3.0, -2.0)))
+    spec = replace(spec_for(state, phi_grid_n=64), cfg=cfg)
+    counts = {"integrate_1d": 0, "Kinematics": 0, "EventDensity": 0}
+
+    def count(owner, attr, name):
+        fn = getattr(owner, attr)
+
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapped)
+
+    count(scattering, "integrate_1d", "integrate_1d")
+    count(Kinematics, "__post_init__", "Kinematics")
+    count(EventDensity, "__init__", "EventDensity")
+    assert len(azimuthal_asymmetry(spec).phi_scan) == 64
+    assert counts["integrate_1d"] == 1
+    assert counts["Kinematics"] <= 1
+    assert counts["EventDensity"] == 0
 
 
 # -- sweeps ---------------------------------------------------------------------

@@ -340,3 +340,37 @@ def test_chunked_wigner_normalization(monkeypatch):
     monkeypatch.setattr(quadrature, "_CHUNK", 2 ** 16)
     r = wigner_normalization(BeamState.odd_cat(1.5, 4.0, phi_r0=0.3))
     assert abs(r.value - 1.0) <= r.err_est
+
+
+# -- initial panels and split axes ------------------------------------------------
+
+
+@pytest.mark.parametrize("lengths", [[5], [4, 3], [3, 4, 2, 5]], ids=["1d", "2d", "4d"])
+def test_initial_boxes_keep_the_ij_corner_order(lengths):
+    # Row sums follow the box order, so bit-identical results rest on it.
+    edges = [np.cumsum(np.arange(1.0, n + 1.0)) + 10.0 * k for k, n in enumerate(lengths)]
+    lo, hi = quadrature._initial_boxes(edges)
+
+    def corners(sides):
+        return np.stack([g.ravel() for g in np.meshgrid(*sides, indexing="ij")], axis=-1)
+
+    assert np.array_equal(lo, corners([e[:-1] for e in edges]))
+    assert np.array_equal(hi, corners([e[1:] for e in edges]))
+
+
+def test_a_subdividing_1d_batch_splits_only_axis_0(monkeypatch):
+    axes = []
+    evaluate = quadrature._evaluate
+
+    def recording(*args, **kwargs):
+        out = evaluate(*args, **kwargs)
+        axes.append(out[2])
+        return out
+
+    monkeypatch.setattr(quadrature, "_evaluate", recording)
+    r = integrate_1d(lambda x: np.stack([np.sqrt(x), np.exp(-50.0 * x * x)]),
+                     Interval(0.0, 1.0), QuadratureSpec(rel_tol=1e-10))
+    assert r.subdivisions > 0 and len(axes) > 1
+    assert all(a.ndim == 1 and a.dtype.kind == "i" and not a.any() for a in axes)
+    exact = [2.0 / 3.0, 0.5 * math.sqrt(math.pi / 50.0) * math.erf(math.sqrt(50.0))]
+    assert np.all(np.abs(r.value - exact) <= r.err_est)
