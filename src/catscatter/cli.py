@@ -15,6 +15,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -171,6 +172,8 @@ class RunConfig:
         for flag, n in (("--phi-grid", self.phi_grid), ("--grid", self.grid)):
             if n < 1:
                 raise _InputError(f"{flag} must be >= 1, got {n!r}")
+        if self.subcommand == "validate" and self.format != "csv":
+            raise _InputError(f"--format: validate writes a text report only, got {self.format!r}")
         if self.subcommand in ("asymmetry", "sweep") and len(self.theta_deg) > 1:
             raise _InputError(f"{self.subcommand} takes one --theta, got {len(self.theta_deg)}")
         if self.r0_ratio is not None and self.axis != "sigma-perp":
@@ -223,7 +226,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=_CHOICES["format"])
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built by the first :func:`run`.
+
+    Parsing leaves it unchanged: each ``parse_args`` fills a fresh
+    namespace, and unset subcommand flags stay out of it."""
     top = _Parser(prog="catscatter", description=__doc__)
     top.add_argument("--config", metavar="PATH",
                      help="re-run from a sidecar config file")
@@ -501,6 +509,9 @@ def run(argv: Sequence[str]) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
+            if args.subcommand:
+                raise _InputError("--config re-runs a sidecar as it is and takes no "
+                                  f"subcommand, got {args.subcommand!r}")
             with open(args.config, encoding="utf-8") as fh:
                 cfg = RunConfig.from_json(fh.read())
         elif args.subcommand:

@@ -1,9 +1,14 @@
+import argparse
+import contextlib
 import csv
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +24,6 @@ PI2 = 1.0 / math.pi ** 2
 
 def run_cli(*argv):
     """In-process CLI invocation capturing stdout."""
-    import contextlib
-    import io
-
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(list(argv))
@@ -448,3 +450,100 @@ def test_r0_ratio_off_the_sigma_perp_axis_exits_one(axis, tmp_path):
     sidecar = tmp_path / "ratio.config.json"
     sidecar.write_text(json.dumps(data))
     assert run_cli("--config", str(sidecar)) == (1, "", err)
+
+
+def test_config_with_a_subcommand_exits_one(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run_cli("scatter", "--wide", "--out", str(out))[0] == 0
+    first = out.read_bytes()
+    sidecar = str(out) + ".config.json"
+    for argv in (["scatter", "--pi", "30", "--theta", "20"],
+                 ["asymmetry", "--state", "odd-cat", "--r0", "3"]):
+        code, text, err = run_cli("--config", sidecar, *argv)
+        assert (code, text) == (1, "")
+        assert err == ("input error: --config re-runs a sidecar as it is and takes no "
+                       f"subcommand, got {argv[0]!r}\n")
+    assert out.read_bytes() == first
+
+
+def test_validate_rejects_json_from_flags_and_sidecars(tmp_path):
+    out = tmp_path / "v.json"
+    code, text, err = run_cli("validate", "--format", "json", "--out", str(out))
+    assert (code, text) == (1, "")
+    assert err == "input error: --format: validate writes a text report only, got 'json'\n"
+    assert not out.exists()
+    data = json.loads(RunConfig(subcommand="validate").to_json())
+    data["format"] = "json"
+    sidecar = tmp_path / "v.config.json"
+    sidecar.write_text(json.dumps(data))
+    assert run_cli("--config", str(sidecar)) == (1, "", err)
+
+
+def test_python_m_catscatter_matches_the_in_process_run(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = tmp_path / "a.json"
+    argv = ["asymmetry", "--state", "odd-cat", "--sigma-perp", "2", "--r0", "3", "--wide",
+            "--theta", "10", "--format", "json", "--out", str(out)]
+    r = subprocess.run([sys.executable, "-m", "catscatter", *argv], capture_output=True,
+                       env=env, timeout=120)
+    assert (r.returncode, r.stderr) == (0, b"")
+    sidecar = tmp_path / "a.json.config.json"
+    written = out.read_bytes(), sidecar.read_bytes()
+    out.unlink()
+    sidecar.unlink()
+    assert run_cli(*argv)[0] == 0
+    assert (out.read_bytes(), sidecar.read_bytes()) == written
+    r = subprocess.run([sys.executable, "-m", "catscatter", "scatter", "--state", "bogus"],
+                       capture_output=True, env=env, timeout=120)
+    assert (r.returncode, r.stdout) == (1, b"")
+    assert r.stderr.startswith(b"input error:")
+
+
+def test_runs_share_one_parser(monkeypatch):
+    assert _build_parser() is _build_parser()
+    argv = ("wigner", "--grid", "4")
+    assert run_cli(*argv)[0] == 0
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    for _ in range(5):
+        assert run_cli(*argv)[0] == 0
+        assert run_cli("scatter", "--state", "bogus")[0] == 1
+    assert calls == []
+
+
+def test_no_state_leaks_from_one_run_to_the_next(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli("scatter", "--pi", "20", "--theta", "12", "--out", str(a))[0] == 0
+    assert run_cli("scatter", "--out", str(b))[0] == 0
+    side = json.loads((tmp_path / "b.csv.config.json").read_text())
+    assert (side["p_i"], side["theta_deg"]) == (10.0, [10.0])
+    argv = ("asymmetry", "--state", "odd-cat", "--r0", "2", "--wide", "--format", "json")
+    code, first, _ = run_cli(*argv)
+    assert code == 0
+    assert run_cli("asymmetry", "--pi", "30", "--theta", "20", "--state", "bogus")[0] == 1
+    assert run_cli(*argv) == (0, first, "")
+
+
+def _help_text(parse, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_:
+        parse(argv)
+    assert exit_.value.code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("sub", [[], ["wigner"], ["scatter"], ["asymmetry"], ["sweep"],
+                                 ["validate"]])
+def test_shared_parser_prints_the_help_of_a_fresh_one(sub):
+    run_cli("wigner", "--grid", "4")  # the shared parser has parsed before
+    shared = _help_text(run, [*sub, "--help"])
+    assert shared == _help_text(_build_parser.__wrapped__().parse_args, [*sub, "--help"])
+    assert shared.startswith(f"usage: {' '.join(['catscatter', *sub])} [-h]")
