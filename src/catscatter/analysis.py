@@ -242,18 +242,20 @@ class PeakResult:
 def find_peak(theta_grid: Sequence[float], values: Sequence[float]) -> PeakResult:
     """Locate the profile maximum, parabolic-refined around the grid argmax.
 
-    Raises ``FlatDistribution`` when max/min < 1.01.  A maximum on the
-    grid edge (e.g. a monotone profile) is returned unrefined with
-    ``on_boundary`` set.
+    Raises ``FlatDistribution`` when every value is equal, or when a
+    positive profile has max/min < 1.01.  A maximum on the grid edge
+    (e.g. a monotone profile) is returned unrefined with ``on_boundary``
+    set.
     """
     th = np.asarray(theta_grid, dtype=float)
     v = np.asarray(values, dtype=float)
     if th.shape != v.shape or th.ndim != 1 or len(th) < 3:
         raise ValueError("theta_grid and values must be matching 1-D arrays")
     vmin, vmax = float(v.min()), float(v.max())
-    contrast = vmax / vmin if vmin > 0 else math.inf
-    if vmax <= vmin or (vmin > 0 and contrast < 1.01):
-        raise FlatDistribution(f"profile contrast max/min = {contrast:.4f} < 1.01")
+    if vmax <= vmin:
+        raise FlatDistribution(f"profile is flat: every value is {vmax!r}")
+    if vmin > 0 and vmax / vmin < 1.01:
+        raise FlatDistribution(f"profile contrast max/min = {vmax / vmin:.4f} < 1.01")
     i = int(np.argmax(v))
     if i == 0 or i == len(v) - 1:
         return PeakResult(float(th[i]), float(v[i]), on_boundary=True)

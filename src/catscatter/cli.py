@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -68,15 +68,18 @@ _METHOD_BY_FLAG = {
 _SPEC_BY_FLAG = {"auto": DEFAULT_SPEC_1D, "closed": DEFAULT_SPEC_1D,
                  "quad2d": DEFAULT_SPEC_2D, "general4d": DEFAULT_SPEC_4D}
 _AXIS_BY_FLAG = {"r0": "r0", "sigma-perp": "sigma_perp", "theta": "theta", "pi": "p_i"}
-# Allowed values of each RunConfig choice field, for flags and sidecars alike.
-_CHOICES = {
-    "state": tuple(_VARIANT_BY_FLAG),
-    "method": tuple(_METHOD_BY_FLAG),
-    "metric": ("para-perp", "minmax"),
-    "mode": tuple(WIGNER_GRID_N),
-    "format": ("csv", "json"),
-    "axis": tuple(_AXIS_BY_FLAG),
+_SUBCOMMANDS = {
+    "wigner": "export a Wigner-function grid",
+    "scatter": "event densities over a theta x phi grid",
+    "asymmetry": "azimuthal asymmetry with its phi scan",
+    "sweep": "asymmetry sweep along one parameter axis",
+    "validate": "oracle cross-checks and validity report",
 }
+# The subcommands that read each group of RunConfig fields.
+_ALL = tuple(_SUBCOMMANDS)
+_SCATTERING = ("scatter", "asymmetry", "sweep", "validate")  # beam energy and target
+_KINEMATICS = ("scatter", "asymmetry", "sweep")  # angles and quadrature
+_TABLES = ("wigner", "scatter", "asymmetry", "sweep")  # runs that print a table
 
 
 class _InputError(Exception):
@@ -120,49 +123,70 @@ def _parse_values(text: str) -> list[float]:
     return values
 
 
+def _flag(flag: str, subs: tuple[str, ...], default=None, **kw):
+    """A :class:`RunConfig` field that ``flag`` sets on the subcommands ``subs``.
+
+    ``kw`` goes to ``add_argument``; a flag with neither choices nor an
+    action reads a float unless it names its type."""
+    if "choices" not in kw and "action" not in kw:
+        kw = {"type": float, "metavar": "F", **kw}
+    meta = {"flag": flag, "subs": subs, **kw}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class RunConfig:
     """Fully resolved run description; the sidecar serializes this.
 
-    Its defaults are the CLI's, and building it runs the checks that flags
-    and sidecars share.
+    Each field declares its flag and the subcommands that take it; the
+    parser is built from these.  The defaults are the CLI's, and building
+    a config runs the checks that flags and sidecars share.
     """
 
-    subcommand: str
-    state: str = "gaussian"
-    sigma_perp: float = 2.0
-    sigma_x: float | None = None
-    sigma_y: float | None = None
-    r0: float = 0.0
-    phi_r0_deg: float = 0.0
-    sigma_z: float = 10.0
-    p_i: float = 10.0
-    p_f: float | None = None
-    sigma_t: float | None = None
-    b0x: float = 0.0
-    b0y: float = 0.0
-    wide: bool = False
-    theta_deg: list[float] = field(default_factory=lambda: [10.0])
-    phi_deg: list[float] | None = None
-    phi_grid: int = 16
-    metric: str = "para-perp"
-    method: str = "auto"
-    tol: float | None = None
-    ne: int = 1
-    grid: int | None = None
-    mode: str = "slice"
-    axis: str | None = None
-    values: list[float] | None = None
-    r0_ratio: float | None = None
-    out: str | None = None
-    format: str = "csv"
+    subcommand: str = field(metadata={"choices": _ALL})
+    state: str = _flag("--state", _ALL, "gaussian", choices=tuple(_VARIANT_BY_FLAG))
+    sigma_perp: float = _flag("--sigma-perp", _ALL, 2.0)
+    sigma_x: float | None = _flag("--sigma-x", _ALL)
+    sigma_y: float | None = _flag("--sigma-y", _ALL)
+    r0: float = _flag("--r0", _ALL, 0.0, help="half the packet separation [a]")
+    phi_r0_deg: float = _flag("--phi-r0", _ALL, 0.0, metavar="DEG")
+    sigma_z: float = _flag("--sigma-z", _SCATTERING, 10.0)
+    p_i: float = _flag("--pi", _SCATTERING, 10.0)
+    p_f: float | None = _flag("--pf", _KINEMATICS)
+    sigma_t: float | None = _flag("--sigma-t", _SCATTERING)
+    b0x: float = _flag("--b0x", _SCATTERING, 0.0)
+    b0y: float = _flag("--b0y", _SCATTERING, 0.0)
+    wide: bool = _flag("--wide", _SCATTERING, False, action="store_true",
+                       help="analytic wide-target limit (reports cross sections)")
+    theta_deg: list[float] = _flag("--theta", _KINEMATICS, [10.0], metavar="A[:B:N]",
+                                   type=lambda t: parse_grid(t, "theta"))
+    phi_deg: list[float] | None = _flag("--phi", ("scatter",), metavar="A[:B:N]",
+                                        type=lambda t: parse_grid(t, "phi"))
+    phi_grid: int = _flag("--phi-grid", _KINEMATICS, 16, type=int, metavar="N")
+    metric: str = _flag("--metric", ("asymmetry", "sweep"), "para-perp",
+                        choices=("para-perp", "minmax"))
+    method: str = _flag("--method", _KINEMATICS, "auto", choices=tuple(_METHOD_BY_FLAG))
+    tol: float | None = _flag("--tol", _KINEMATICS)
+    ne: int = _flag("--ne", _KINEMATICS, 1, type=int, metavar="N")
+    grid: int | None = _flag("--grid", ("wigner",), type=int, metavar="N", help=(
+        "points per axis (default %(slice)d slice, %(full)d full)" % WIGNER_GRID_N))
+    mode: str = _flag("--mode", ("wigner",), "slice", choices=tuple(WIGNER_GRID_N))
+    axis: str | None = _flag("--axis", ("sweep",), choices=tuple(_AXIS_BY_FLAG), required=True)
+    values: list[float] | None = _flag("--values", ("sweep",), type=_parse_values,
+                                       metavar="V1,V2,...", required=True)
+    r0_ratio: float | None = _flag("--r0-ratio", ("sweep",),
+                                   help="hold r0 = ratio * sigma_perp on sigma-perp sweeps")
+    out: str | None = _flag("--out", _ALL, type=str, metavar="PATH")
+    format: str = _flag("--format", _TABLES, "csv", choices=("csv", "json"))
     version: str = __version__
 
     def __post_init__(self) -> None:
-        for name, choices in _CHOICES.items():
-            value = getattr(self, name)
-            if value not in choices and not (name == "axis" and value is None):
-                raise _InputError(f"--{name}: invalid choice {value!r} "
+        for f in fields(self):  # a choice field may also keep its default (axis None)
+            choices, value = f.metadata.get("choices"), getattr(self, f.name)
+            if choices and value not in choices and value != f.default:
+                raise _InputError(f"{f.metadata.get('flag', f.name)}: invalid choice {value!r} "
                                   f"(choose from {', '.join(choices)})")
         self.wide = self.wide or self.sigma_t is None
         if self.grid is None:
@@ -172,8 +196,6 @@ class RunConfig:
         for flag, n in (("--phi-grid", self.phi_grid), ("--grid", self.grid)):
             if n < 1:
                 raise _InputError(f"{flag} must be >= 1, got {n!r}")
-        if self.subcommand == "validate" and self.format != "csv":
-            raise _InputError(f"--format: validate writes a text report only, got {self.format!r}")
         if self.subcommand in ("asymmetry", "sweep") and len(self.theta_deg) > 1:
             raise _InputError(f"{self.subcommand} takes one --theta, got {len(self.theta_deg)}")
         if self.r0_ratio is not None and self.axis != "sigma-perp":
@@ -189,41 +211,21 @@ class RunConfig:
         data = json.loads(text)
         data.pop("version", None)
         try:
-            return cls(**data, version=__version__)
+            cfg = cls(**data, version=__version__)
         except TypeError as exc:
             raise _InputError(f"config file field error: {exc}") from None
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    # Each dest but ev is a RunConfig field; an unset flag leaves its default.
-    p.add_argument("--state", choices=_CHOICES["state"])
-    p.add_argument("--sigma-perp", type=float, metavar="F")
-    p.add_argument("--sigma-x", type=float, metavar="F")
-    p.add_argument("--sigma-y", type=float, metavar="F")
-    p.add_argument("--r0", type=float, metavar="F",
-                   help="half the packet separation [a]")
-    p.add_argument("--phi-r0", dest="phi_r0_deg", type=float, metavar="DEG")
-    p.add_argument("--sigma-z", type=float, metavar="F")
-    p.add_argument("--pi", dest="p_i", type=float, metavar="F")
-    p.add_argument("--pf", dest="p_f", type=float, metavar="F")
-    p.add_argument("--ev", type=float, metavar="KEV",
-                   help="kinetic energy in keV (overrides --pi)")
-    p.add_argument("--sigma-t", type=float, metavar="F")
-    p.add_argument("--b0x", type=float, metavar="F")
-    p.add_argument("--b0y", type=float, metavar="F")
-    p.add_argument("--wide", action="store_true",
-                   help="analytic wide-target limit (reports cross sections)")
-    p.add_argument("--theta", dest="theta_deg", type=lambda t: parse_grid(t, "theta"),
-                   metavar="A[:B:N]")
-    p.add_argument("--phi", dest="phi_deg", type=lambda t: parse_grid(t, "phi"),
-                   metavar="A[:B:N]")
-    p.add_argument("--phi-grid", type=int, metavar="N")
-    p.add_argument("--metric", choices=_CHOICES["metric"])
-    p.add_argument("--method", choices=_CHOICES["method"])
-    p.add_argument("--tol", type=float, metavar="F")
-    p.add_argument("--ne", type=int, metavar="N")
-    p.add_argument("--out", metavar="PATH")
-    p.add_argument("--format", choices=_CHOICES["format"])
+        # A field of a flag the subcommand does not take must hold what the
+        # bare subcommand resolves it to (__post_init__ normalises wide and grid).
+        sub, bare = cfg.subcommand, cls(cfg.subcommand)
+        for f in fields(cls):
+            value = getattr(cfg, f.name)
+            if sub not in f.metadata.get("subs", _ALL) and value != getattr(bare, f.name):
+                raise _InputError(f"{sub} takes no {f.metadata['flag']}, got {value!r}")
+        required = [f for f in fields(cls)
+                    if f.metadata.get("required") and sub in f.metadata["subs"]]
+        if any(getattr(cfg, f.name) is None for f in required):
+            raise _InputError(f"{sub} needs " + " and ".join(f.metadata["flag"] for f in required))
+        return cfg
 
 
 @functools.cache
@@ -236,25 +238,17 @@ def _build_parser() -> _Parser:
     top.add_argument("--config", metavar="PATH",
                      help="re-run from a sidecar config file")
     sub = top.add_subparsers(dest="subcommand")
-    for name, doc in (
-        ("wigner", "export a Wigner-function grid"),
-        ("scatter", "event densities over a theta x phi grid"),
-        ("asymmetry", "azimuthal asymmetry with its phi scan"),
-        ("sweep", "asymmetry sweep along one parameter axis"),
-        ("validate", "oracle cross-checks and validity report"),
-    ):
-        sp = sub.add_parser(name, help=doc, argument_default=argparse.SUPPRESS)
-        _add_common(sp)
-        if name == "wigner":
-            sp.add_argument("--grid", type=int, metavar="N", help="points per axis "
-                            "(default %(slice)d slice, %(full)d full)" % WIGNER_GRID_N)
-            sp.add_argument("--mode", choices=_CHOICES["mode"])
-        if name == "sweep":
-            sp.add_argument("--axis", choices=_CHOICES["axis"], required=True)
-            sp.add_argument("--values", type=_parse_values, required=True,
-                            metavar="V1,V2,...")
-            sp.add_argument("--r0-ratio", type=float, metavar="F",
-                            help="hold r0 = ratio * sigma_perp on sigma-perp sweeps")
+    for name, doc in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=doc, argument_default=argparse.SUPPRESS,
+                            allow_abbrev=False)
+        for f in fields(RunConfig):
+            kw = dict(f.metadata)
+            if name not in kw.pop("subs", ()):
+                continue
+            sp.add_argument(kw.pop("flag"), dest=f.name, **kw)
+            if f.name == "p_i":  # --ev is no field: it sets p_i from the kinetic energy
+                sp.add_argument("--ev", type=float, metavar="KEV",
+                                help="kinetic energy in keV (overrides --pi)")
     return top
 
 
@@ -348,8 +342,6 @@ def _run_asymmetry(cfg: RunConfig):
 
 
 def _run_sweep(cfg: RunConfig):
-    if cfg.axis is None or cfg.values is None:
-        raise _InputError("sweep needs --axis and --values")
     axis = _AXIS_BY_FLAG[cfg.axis]
     values = [v * DEG for v in cfg.values] if axis == "theta" else list(cfg.values)
     # The base state sits at the first swept point: the defaults it replaces
@@ -529,14 +521,14 @@ def run(argv: Sequence[str]) -> int:
             "scatter": _run_scatter,
             "asymmetry": _run_asymmetry,
             "sweep": _run_sweep,
-        }.get(cfg.subcommand)
-        if runner is None:
-            raise _InputError(f"unknown subcommand {cfg.subcommand!r}")
+        }[cfg.subcommand]
         header, rows, extra = runner(cfg)
         text = (_render_csv(header, rows) if cfg.format == "csv"
                 else _render_json(cfg, header, rows, extra))
         _emit(cfg, text)
         return 0
+    except SystemExit as exc:  # --help
+        return exc.code
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

@@ -337,6 +337,16 @@ def test_find_peak_flat_profile_raises():
         find_peak(grid, np.full_like(grid, 2.0) + 1e-6 * grid)
 
 
+@pytest.mark.parametrize("make", [BeamState.even_cat, BeamState.odd_cat])
+def test_identically_zero_asymmetry_profile_names_its_flat_value(make):
+    # At r0/sigma_perp = 10 the damped fringe is below rounding: every A(theta) is 0.
+    cfg = ScatteringConfig(make(2.0, 20.0), TargetProfile.wide())
+    with pytest.raises(FlatDistribution) as exc:
+        peak_theta(cfg, 10.0, profile="asymmetry")
+    assert "inf" not in str(exc.value)
+    assert str(exc.value) == "profile is flat: every value is 0.0"
+
+
 def test_gaussian_rate_peak_moves_down_with_energy():
     cfgg = ScatteringConfig(BeamState.gaussian(2.0), WIDE)
     pk30 = peak_theta(cfgg, 30.0)

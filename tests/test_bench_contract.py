@@ -4,14 +4,18 @@
 ``bench/workloads.py`` calls them as module attributes.  A name deleted
 from the library, or a keyword dropped from a signature the benchmark
 calls, would only surface in a benchmark run, so these tests read both
-files (without importing or changing them) and check every such name and
-call against the library.
+files (without changing them) and check every such name and call against
+the library.  The last one runs a pass of the CLI workload and its checks,
+so a flag that the workload passes and a subcommand does not take fails
+here too.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pathlib
+import sys
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 MODULES = ("analysis", "cli", "errors", "quadrature", "scattering", "states", "targets")
@@ -137,3 +141,16 @@ def test_workload_calls_bind_to_the_library_signatures():
     assert {"an.sweep(workers=)", "an.peak_theta(profile=)", "an.peak_theta(method=)",
             "st.negativity_scan(mode=)", "BeamState.odd_cat(phi_r0=)",
             "AsymmetrySpec(phi_grid_n=)"} <= bound
+
+
+def test_a_cli_roundtrip_pass_passes_every_check(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    wl = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", wl)
+    spec.loader.exec_module(wl)
+    jobs, _ = wl.build("cli_roundtrip", 771, str(tmp_path))
+    outs = [job.collect(job.run()) for job in jobs]
+    for i, (job, out) in enumerate(zip(jobs, outs)):
+        verdict = wl.Verdict()
+        job.verify(out, verdict, outs)
+        assert verdict.failures == [], f"job {i} ({job.kind})"

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from catscatter import __version__
 from catscatter.cli import (DEG, RunConfig, _build_parser, _render_csv, _resolve, fmt,
                             parse_grid, run)
 from catscatter.scattering import ScatteringConfig, event_density_cat_closed
@@ -326,8 +328,8 @@ def test_non_positive_numbers_exit_one(argv, tmp_path):
     assert err2 == err
 
 
-# A sidecar value outside the parser's choices for its field (library
-# spellings and misspellings).
+# A sidecar value outside the choices of its field (library spellings,
+# misspellings and an unknown subcommand).
 @pytest.mark.parametrize("sub,field,bad", [
     ("scatter", "state", "cat"),
     ("scatter", "method", "quadrature2d"),
@@ -335,6 +337,7 @@ def test_non_positive_numbers_exit_one(argv, tmp_path):
     ("wigner", "mode", "4d"),
     ("scatter", "format", "xml"),
     ("sweep", "axis", "sigma_perp"),
+    ("scatter", "subcommand", "plot"),
 ])
 def test_sidecar_choice_fields_are_checked(sub, field, bad, tmp_path):
     extra = dict(axis="r0", values=[1.0, 2.0]) if sub == "sweep" else {}
@@ -344,7 +347,8 @@ def test_sidecar_choice_fields_are_checked(sub, field, bad, tmp_path):
     sidecar.write_text(json.dumps(data))
     code, out, err = run_cli("--config", str(sidecar))
     assert (code, out) == (1, "")
-    assert err.startswith(f"input error: --{field}: invalid choice {bad!r}")
+    named = field if field == "subcommand" else f"--{field}"
+    assert err.startswith(f"input error: {named}: invalid choice {bad!r}")
 
 
 @pytest.mark.parametrize("field", ["axis", "values"])
@@ -466,17 +470,88 @@ def test_config_with_a_subcommand_exits_one(tmp_path):
     assert out.read_bytes() == first
 
 
-def test_validate_rejects_json_from_flags_and_sidecars(tmp_path):
-    out = tmp_path / "v.json"
-    code, text, err = run_cli("validate", "--format", "json", "--out", str(out))
+# The 27 (subcommand, flag) pairs that every subcommand once took and whose
+# runner never read them.
+_NOT_TAKEN = {
+    "wigner": ["--sigma-z", "--pi", "--ev", "--sigma-t", "--b0x", "--b0y", "--wide", "--pf",
+               "--theta", "--phi", "--phi-grid", "--metric", "--method", "--tol", "--ne"],
+    "scatter": ["--metric"],
+    "asymmetry": ["--phi"],
+    "sweep": ["--phi"],
+    "validate": ["--pf", "--theta", "--phi", "--phi-grid", "--metric", "--method", "--tol",
+                 "--ne", "--format"],
+}
+# Each flag's arguments, and the field and value it would set in a sidecar.
+_SETS = {
+    "--sigma-z": (["5"], "sigma_z", 5.0), "--pi": (["12"], "p_i", 12.0),
+    "--ev": (["2"], "p_i", 12.0), "--sigma-t": (["20"], "sigma_t", 20.0),
+    "--b0x": (["1"], "b0x", 1.0), "--b0y": (["1"], "b0y", 1.0),
+    "--wide": ([], "wide", False), "--pf": (["12"], "p_f", 12.0),
+    "--theta": (["5"], "theta_deg", [5.0]), "--phi": (["30"], "phi_deg", [30.0]),
+    "--phi-grid": (["3"], "phi_grid", 3), "--metric": (["minmax"], "metric", "minmax"),
+    "--method": (["general4d"], "method", "general4d"), "--tol": (["1e-6"], "tol", 1e-6),
+    "--ne": (["7"], "ne", 7), "--format": (["json"], "format", "json"),
+}
+
+
+@pytest.mark.parametrize("sub,flag", [(sub, flag) for sub, flags in _NOT_TAKEN.items()
+                                      for flag in flags])
+def test_a_flag_its_subcommand_does_not_take_exits_one(sub, flag, tmp_path):
+    args, name, value = _SETS[flag]
+    sweep = ["--axis", "r0", "--values", "2,3"] if sub == "sweep" else []
+    code, shown, _ = run_cli(sub, "--help")
+    assert code == 0 and flag not in re.findall(r"--[a-z0-9-]+", shown)
+    out = tmp_path / "run.out"
+    code, text, err = run_cli(sub, *sweep, flag, *args, "--out", str(out))
     assert (code, text) == (1, "")
-    assert err == "input error: --format: validate writes a text report only, got 'json'\n"
+    assert err == f"input error: unrecognized arguments: {' '.join([flag, *args])}\n"
     assert not out.exists()
-    data = json.loads(RunConfig(subcommand="validate").to_json())
-    data["format"] = "json"
-    sidecar = tmp_path / "v.config.json"
+    # The same setting read back from a sidecar is rejected too.
+    data = json.loads(_resolve(_build_parser().parse_args([sub, *sweep])).to_json())
+    data[name] = value
+    sidecar = tmp_path / "run.config.json"
     sidecar.write_text(json.dumps(data))
-    assert run_cli("--config", str(sidecar)) == (1, "", err)
+    code, text, err = run_cli("--config", str(sidecar))
+    if name == "wide":  # with no --sigma-t, wide resolves to True: this is the bare run
+        assert (code, err) == (0, "")
+        return
+    assert (code, text) == (1, "")
+    assert err == (f"input error: {sub} takes no {'--pi' if flag == '--ev' else flag}, "
+                   f"got {value!r}\n")
+
+
+# Sidecars as the parser that gave every subcommand every flag wrote them: a
+# wigner run stores wide true and a validate run stores grid 128.
+_OLD_SIDECARS = {
+    "wigner": (["--state", "odd-cat", "--r0", "3", "--phi-r0", "20", "--grid", "8"], {
+        "subcommand": "wigner", "state": "odd-cat", "sigma_perp": 2.0, "sigma_x": None,
+        "sigma_y": None, "r0": 3.0, "phi_r0_deg": 20.0, "sigma_z": 10.0, "p_i": 10.0,
+        "p_f": None, "sigma_t": None, "b0x": 0.0, "b0y": 0.0, "wide": True,
+        "theta_deg": [10.0], "phi_deg": None, "phi_grid": 16, "metric": "para-perp",
+        "method": "auto", "tol": None, "ne": 1, "grid": 8, "mode": "slice", "axis": None,
+        "values": None, "r0_ratio": None, "out": "run.out", "format": "csv"}),
+    "validate": ([], {
+        "subcommand": "validate", "state": "gaussian", "sigma_perp": 2.0, "sigma_x": None,
+        "sigma_y": None, "r0": 0.0, "phi_r0_deg": 0.0, "sigma_z": 10.0, "p_i": 10.0,
+        "p_f": None, "sigma_t": None, "b0x": 0.0, "b0y": 0.0, "wide": True,
+        "theta_deg": [10.0], "phi_deg": None, "phi_grid": 16, "metric": "para-perp",
+        "method": "auto", "tol": None, "ne": 1, "grid": 128, "mode": "slice", "axis": None,
+        "values": None, "r0_ratio": None, "out": "run.out", "format": "csv"}),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(_OLD_SIDECARS))
+def test_old_sidecars_replay_byte_for_byte(sub, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv, data = _OLD_SIDECARS[sub]
+    written = json.dumps({**data, "version": __version__}, indent=2) + "\n"
+    assert run_cli(sub, *argv, "--out", "run.out")[0] == 0
+    assert (tmp_path / "run.out.config.json").read_text() == written
+    first = (tmp_path / "run.out").read_bytes()
+    (tmp_path / "run.out").unlink()
+    assert run_cli("--config", "run.out.config.json")[0] == 0
+    assert (tmp_path / "run.out").read_bytes() == first
+    assert (tmp_path / "run.out.config.json").read_text() == written
 
 
 def test_python_m_catscatter_matches_the_in_process_run(tmp_path):
@@ -532,18 +607,15 @@ def test_no_state_leaks_from_one_run_to_the_next(tmp_path):
     assert run_cli(*argv) == (0, first, "")
 
 
-def _help_text(parse, argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_:
-        parse(argv)
-    assert exit_.value.code == 0
-    return out.getvalue()
-
-
 @pytest.mark.parametrize("sub", [[], ["wigner"], ["scatter"], ["asymmetry"], ["sweep"],
                                  ["validate"]])
 def test_shared_parser_prints_the_help_of_a_fresh_one(sub):
     run_cli("wigner", "--grid", "4")  # the shared parser has parsed before
-    shared = _help_text(run, [*sub, "--help"])
-    assert shared == _help_text(_build_parser.__wrapped__().parse_args, [*sub, "--help"])
+    code, shared, _ = run_cli(*sub, "--help")
+    assert code == 0
+    fresh = io.StringIO()
+    with contextlib.redirect_stdout(fresh), pytest.raises(SystemExit) as exit_:
+        _build_parser.__wrapped__().parse_args([*sub, "--help"])
+    assert exit_.value.code == 0
+    assert shared == fresh.getvalue()
     assert shared.startswith(f"usage: {' '.join(['catscatter', *sub])} [-h]")

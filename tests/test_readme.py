@@ -1,13 +1,14 @@
 """README's library examples and CLI lines run as written; the library
-examples print what the text says."""
+examples print what the text says, and its flag lists are the parser's."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from catscatter.cli import run
+from catscatter.cli import _build_parser, run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -37,3 +38,14 @@ def test_readme_cli_lines_run(tmp_path):
         out = tmp_path / f"{i}.out"
         assert run([*argv, "--out", str(out)]) == 0, argv
         assert out.read_text(encoding="utf-8")
+
+
+def test_readme_flag_lists_are_the_parsers():
+    listed = {sub: re.findall(r"`(--[a-z0-9-]+)`", flags) for sub, flags in re.findall(
+        r"^- `(\w+)`: (.*)$", README.read_text(encoding="utf-8"), flags=re.MULTILINE)}
+    (subparsers,) = [a for a in _build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert set(listed) == set(subparsers.choices)
+    for sub, parser in subparsers.choices.items():
+        flags = [s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help")]
+        assert listed[sub] == flags, sub
