@@ -32,7 +32,8 @@ array per coordinate and returns an array of the same shape, or of shape
 ``(B, *shape)`` for a batch of ``B`` integrands.  The first evaluation
 fixes which of the two it is; any other output shape, then or later, is a
 ``ValueError``.  A callable that rejects arrays (``math.exp``) raises its
-own error.
+own error.  A 4-D sum of products of (x0, x1) and (x2, x3) factors may come
+as :func:`factored_integrand`, which runs each factor on distinct projections.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "DEFAULT_SPEC_4D",
     "integrate_1d",
     "integrate_nd",
+    "factored_integrand",
     "oscillation_panels",
 ]
 
@@ -306,6 +308,36 @@ class _GenzMalik(_EmbeddedRule):
 @functools.cache
 def _rule_for(ndim: int):
     return _TensorGaussKronrod(ndim) if ndim <= 2 else _GenzMalik(ndim)
+
+
+@functools.cache
+def _node_projection(ndim: int, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (cols, inv): node ``cols[inv[j]]`` of the ndim-D rule has
+    the projection of node j onto ``axes``, and the projections of the
+    ``cols`` differ (in 4-D, 17 of 57 nodes for (0, 1) and for (2, 3))."""
+    _, cols, inv = np.unique(_rule_for(ndim).nodes[:, list(axes)], axis=0,
+                             return_index=True, return_inverse=True)
+    inv = inv.ravel()
+    cols.flags.writeable = inv.flags.writeable = False
+    return cols, inv
+
+
+def factored_integrand(terms: Callable) -> Callable:
+    """The 4-D integrand sum_k P_k(x0, x1) M_k(x2, x3) for :func:`integrate_nd`,
+    where ``terms(x0, x1, x2, x3)`` returns the (P_k, M_k) pairs.  ``terms``
+    sees only the distinct (x0, x1) and (x2, x3) projections of each box's
+    nodes, and the products are formed on the nodes they gather to."""
+    cols_r, inv_r = _node_projection(4, (0, 1))
+    cols_p, inv_p = _node_projection(4, (2, 3))
+
+    def f(x0, x1, x2, x3):
+        (p, m), *rest = terms(x0[:, cols_r], x1[:, cols_r], x2[:, cols_p], x3[:, cols_p])
+        out = p[:, inv_r] * m[:, inv_p]
+        for p, m in rest:
+            out += p[:, inv_r] * m[:, inv_p]
+        return out
+
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ are provided:
 
 * ``event_density_general``      -- honest 4-D cubature of the formula
   above over truncated boxes (the brute-force oracle, any state, finite
-  targets only);
+  targets only).  It integrates W itself, negative fringe included, as
+  the products P_k(b) M_k(p) of ``states.wigner_terms`` with n(b) on each
+  P_k and f^2 on each M_k, so every factor runs on the distinct position
+  or momentum projections of the Genz-Malik nodes (17 of 57) only;
 * ``event_density_cat_quadrature`` -- the 2-D momentum route, one
   function for every beam and the check on the closed form (also bound as
   ``event_density_gaussian``, a second name of the same function): the
@@ -75,6 +78,7 @@ from .quadrature import (
     DEFAULT_SPEC_4D,
     Interval,
     QuadratureSpec,
+    factored_integrand,
     integrate_1d,
     integrate_nd,
     oscillation_panels,
@@ -87,9 +91,10 @@ from .states import (
     BeamState,
     phase_space_box,
     phase_space_panels,
-    wigner_values,
+    wigner_terms,
 )
-from .targets import Kinematics, TargetProfile, hydrogen_amplitude, momentum_transfer
+from .targets import (Kinematics, TargetProfile, hydrogen_amplitude, momentum_transfer,
+                      target_density)
 
 __all__ = [
     "ScatteringConfig",
@@ -336,7 +341,8 @@ def _closed_form(cfg: ScatteringConfig, q_w: np.ndarray, row_of: np.ndarray,
 
 
 def event_density_general(cfg: ScatteringConfig, kin: Kinematics) -> EventDensity:
-    """Event density by direct 4-D cubature of n(b) W(b,p) f(|Q-p|)^2.
+    """Event density by direct 4-D cubature of n(b) W(b,p) f(|Q-p|)^2, as
+    the sum of (n P_k)(b) (f^2 M_k)(p) over the W factors P_k, M_k.
 
     Works for every state variant, but needs a finite target (the wide
     limit is analytic, not pointwise).  The position box is the Wigner
@@ -362,16 +368,15 @@ def event_density_general(cfg: ScatteringConfig, kin: Kinematics) -> EventDensit
 
     bx, by, px, py = phase_space_box(state.widths, state.r0_vec, 6.0, 4.0)
     box = [clip(bx, b0x), clip(by, b0y), px, py]
-    st2 = 2.0 * st * st
 
-    def integrand(ux, uy, pxa, pya):
-        w = wigner_values(state, ux, uy, pxa, pya)
-        q = np.sqrt((qx0 - pxa) ** 2 + (qy0 - pya) ** 2 + qz * qz)
-        amp = hydrogen_amplitude(q)
-        n = np.exp(-((ux - b0x) ** 2 + (uy - b0y) ** 2) / st2) / (math.pi * st2)
-        return n * w * amp * amp
+    def terms(x, y, qx, qy):
+        n = target_density(target, (x, y))
+        amp = hydrogen_amplitude(np.sqrt((qx0 - qx) ** 2 + (qy0 - qy) ** 2 + qz * qz))
+        f2 = amp * amp
+        return [(n * w_r, f2 * w_p) for w_r, w_p in wigner_terms(state, x, y, qx, qy)]
 
-    res = integrate_nd(integrand, box, spec, initial_splits=phase_space_panels(state, box))
+    res = integrate_nd(factored_integrand(terms), box, spec,
+                       initial_splits=phase_space_panels(state, box))
     value = cfg.n_e * res.value
     err = cfg.n_e * res.err_est
     if value < -err:

@@ -27,6 +27,12 @@ keeps only the displaced part and stays nonnegative.  For numerical
 stability the displaced part is evaluated as the explicit two-bump sum
 rather than via ``cosh`` (avoids overflow at large separations).
 
+W is written once, as products of a position and a momentum factor
+(:func:`wigner_terms`; the cats add the fringe as a second product).
+Open-mesh grids run each factor on its own axes, and the 4-D cubatures
+on the 17 distinct position and 17 distinct momentum projections of the
+57 Genz-Malik nodes (:func:`~catscatter.quadrature.factored_integrand`).
+
 Every phase-space truncation box (negativity scans, normalization, the
 4-D scattering oracle, the CLI export) comes from :func:`phase_space_box`,
 and every scan grid of W (negativity scans, the CLI export) from :func:`wigner_grid`.
@@ -37,13 +43,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidCatSeparation, NoPureState, UnsupportedVariant
-from .quadrature import Interval, QuadratureResult, QuadratureSpec, integrate_nd, oscillation_panels
+from .quadrature import (Interval, QuadratureResult, QuadratureSpec, factored_integrand,
+                         integrate_nd, oscillation_panels)
 
 __all__ = [
     "HARTREE_EV",
@@ -52,6 +58,7 @@ __all__ = [
     "NegativityScan",
     "momentum_wavefunction",
     "wigner",
+    "wigner_terms",
     "wigner_values",
     "negativity_scan",
     "wigner_normalization",
@@ -256,26 +263,24 @@ def momentum_wavefunction(state: BeamState, p: Sequence[float]) -> complex:
     return complex(psi1 * num / denom)
 
 
-def wigner_values(state: BeamState, x, y, px, py) -> np.ndarray:
-    """Vectorized Wigner function at the broadcast shape of its inputs, which
-    are not broadcast: the packet bumps and fringe envelope run on the (x, y)
-    shape, the momentum Gaussian and cos(2 r0 . p) on the (p_x, p_y) shape,
-    and only their combination (and the anisotropic exponent) on the full one."""
+def wigner_terms(state: BeamState, x, y, px, py) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (P_k, M_k) pairs of ``W = sum_k P_k(x, y) M_k(p_x, p_y)``, P_k on
+    the broadcast shape of ``x, y``, M_k on that of ``px, py``.  A cat's
+    second pair is its fringe, envelope(r) times cos(2 r0 . p); its
+    parity and normalization 1 +/- overlap ride on the P_k."""
     x, y, px, py = (np.asarray(a, dtype=float) for a in (x, y, px, py))
     if state.variant == ANISOTROPIC:
         sx, sy = state.sigma_x, state.sigma_y
-        return np.exp(
-            -2.0 * sx * sx * px * px - x * x / (2.0 * sx * sx)
-            - 2.0 * sy * sy * py * py - y * y / (2.0 * sy * sy)
-        ) / math.pi ** 2
+        return [(np.exp(-x * x / (2.0 * sx * sx) - y * y / (2.0 * sy * sy)),
+                 np.exp(-2.0 * sx * sx * px * px - 2.0 * sy * sy * py * py) / math.pi ** 2)]
 
     sp = state.sigma_perp
-    gp = np.exp(-2.0 * sp * sp * (px * px + py * py)) / math.pi ** 2
+    twoss = 2.0 * sp * sp
+    gp = np.exp(-twoss * (px * px + py * py)) / math.pi ** 2
     if state.variant == GAUSSIAN:
-        return gp * np.exp(-(x * x + y * y) / (2.0 * sp * sp))
+        return [(np.exp(-(x * x + y * y) / twoss), gp)]
 
     r0x, r0y = state.r0_vec
-    twoss = 2.0 * sp * sp
     # Displaced-packet part written as the explicit two-bump sum; this is
     # cosh(r0.r/sp^2) exp(-r0^2/2sp^2) exp(-r^2/2sp^2) without overflow.
     bumps = 0.5 * (
@@ -283,10 +288,23 @@ def wigner_values(state: BeamState, x, y, px, py) -> np.ndarray:
         + np.exp(-((x + r0x) ** 2 + (y + r0y) ** 2) / twoss)
     )
     if state.variant == INCOHERENT_PAIR:
-        return gp * bumps
+        return [(bumps, gp)]
     sign = state.parity
-    interference = np.exp(-(x * x + y * y) / twoss) * np.cos(2.0 * (r0x * px + r0y * py))
-    return gp * (bumps + sign * interference) / (1.0 + sign * state.packet_overlap)
+    norm = 1.0 + sign * state.packet_overlap
+    envelope = np.exp(-(x * x + y * y) / twoss) * (sign / norm)
+    return [(bumps / norm, gp), (envelope, gp * np.cos(2.0 * (r0x * px + r0y * py)))]
+
+
+def wigner_values(state: BeamState, x, y, px, py) -> np.ndarray:
+    """Vectorized Wigner function at the broadcast shape of its inputs, as
+    the sum of the :func:`wigner_terms` products.  The inputs are not
+    broadcast: each factor runs on the (x, y) or the (p_x, p_y) shape, and
+    only the products and their sum on the full one."""
+    (p, m), *rest = wigner_terms(state, x, y, px, py)
+    w = p * m
+    for p, m in rest:  # in place: one full-shape temporary at a time
+        w += p * m
+    return w
 
 
 def wigner(state: BeamState, pt: PhasePoint) -> float:
@@ -419,7 +437,8 @@ def negativity_scan(
 
 
 def wigner_normalization(state: BeamState) -> QuadratureResult:
-    """Integrate W over its truncation box by honest 4-D cubature.
+    """Integrate W over its truncation box by honest 4-D cubature of the
+    :func:`wigner_terms` products.
 
     The box spans 6 widths around the packet centers in position and
     4.5 inverse widths in momentum, so truncation is far below the
@@ -428,5 +447,5 @@ def wigner_normalization(state: BeamState) -> QuadratureResult:
     quarter period of the interference fringe (:func:`phase_space_panels`).
     """
     box = phase_space_box(state.widths, state.r0_vec, 6.0, 4.5)
-    return integrate_nd(partial(wigner_values, state), box, _NORMALIZATION_SPEC,
-                        initial_splits=phase_space_panels(state, box))
+    return integrate_nd(factored_integrand(lambda *c: wigner_terms(state, *c)), box,
+                        _NORMALIZATION_SPEC, initial_splits=phase_space_panels(state, box))

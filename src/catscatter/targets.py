@@ -70,10 +70,6 @@ class TargetProfile:
     def wide(cls) -> "TargetProfile":
         return cls(wide_limit=True)
 
-    @property
-    def b0_vec(self) -> np.ndarray:
-        return np.asarray(self.b0, dtype=float)
-
 
 @dataclass(frozen=True)
 class Kinematics:
@@ -148,14 +144,17 @@ def hydrogen_amplitude(q):
     return float(out) if out.ndim == 0 else out
 
 
-def target_density(profile: TargetProfile, b) -> float:
-    """Pointwise target density n(b); undefined in the wide limit."""
+def target_density(profile: TargetProfile, b):
+    """Target density n(b) at ``b = (b_x, b_y)``: a float at one point, an
+    array of the broadcast shape for component arrays.  Undefined in the
+    wide limit."""
     if profile.wide_limit:
         raise WideLimitHasNoDensity(
             "wide-limit target has no pointwise density; the limit is applied "
             "inside the scattering formulas"
         )
-    b = np.asarray(b, dtype=float)
-    d = b - profile.b0_vec
+    (bx, by), (b0x, b0y) = b, profile.b0
+    dx, dy = np.asarray(bx, dtype=float) - b0x, np.asarray(by, dtype=float) - b0y
     st2 = profile.sigma_t ** 2
-    return float(np.exp(-(d @ d) / (2.0 * st2)) / (2.0 * math.pi * st2))
+    n = np.exp(-(dx * dx + dy * dy) / (2.0 * st2)) / (2.0 * math.pi * st2)
+    return float(n) if n.ndim == 0 else n

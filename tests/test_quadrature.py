@@ -9,6 +9,7 @@ from catscatter.errors import NonConvergence, NonFiniteIntegrand, UnsupportedDim
 from catscatter.quadrature import (
     Interval,
     QuadratureSpec,
+    factored_integrand,
     integrate_1d,
     integrate_nd,
     oscillation_panels,
@@ -167,6 +168,40 @@ def test_4d_gaussian_normalization():
     r = integrate_nd(f, box, QuadratureSpec(rel_tol=1e-5, max_subdivisions=200_000),
                      initial_splits=[8, 8, 8, 8])
     assert abs(r.value - 1.0) <= 1e-5
+
+
+@pytest.mark.parametrize("axes", [(0, 1), (2, 3)])
+def test_genz_malik_nodes_have_17_distinct_projections(axes):
+    nodes = quadrature._rule_for(4).nodes[:, axes]
+    cols, inv = quadrature._node_projection(4, axes)
+    assert len(cols) == 17 == len(np.unique(nodes, axis=0))
+    assert inv.shape == (57,)
+    assert np.array_equal(nodes[cols][inv], nodes)
+
+
+def test_factored_integrand_matches_its_products_on_every_node():
+    def terms(x, y, px, py):
+        return [(np.exp(-(x * x + y * y) / 2), np.exp(-2 * (px * px + py * py))),
+                (np.exp(-(x - 1) ** 2 - y * y), 1 / (1 + px * px + py * py))]
+
+    def direct(x, y, px, py):
+        return sum(p * m for p, m in terms(x, y, px, py))
+
+    factored, calls = factored_integrand(terms), []
+
+    def checked(*coords):
+        vals = factored(*coords)
+        np.testing.assert_allclose(vals, direct(*coords), rtol=1e-14, atol=0)
+        calls.append(vals.shape)
+        return vals
+
+    box = [Interval(-5, 5), Interval(-4, 6), Interval(-3, 3), Interval(-2, 3)]
+    res = integrate_nd(checked, box, QuadratureSpec(rel_tol=1e-4))
+    ref = integrate_nd(direct, box, QuadratureSpec(rel_tol=1e-4))
+    assert res.subdivisions > 0 and len(calls) > 1
+    # Equal values at the nodes, but gathered columns come out column-major,
+    # so the rule's weighted sums (BLAS) may round apart.
+    assert res.value == pytest.approx(ref.value, rel=1e-13)
 
 
 def test_nonconvergence():

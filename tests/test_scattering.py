@@ -18,7 +18,7 @@ from catscatter.scattering import (
     event_density_general,
     validity_check,
 )
-from catscatter.states import BeamState, negativity_scan, wigner_grid, wigner_values
+from catscatter.states import BeamState, negativity_scan, wigner_grid, wigner_terms
 from catscatter.targets import Kinematics, TargetProfile, hydrogen_amplitude
 
 DEG = math.pi / 180.0
@@ -164,8 +164,8 @@ def test_negative_total_guard_fires_on_unphysical_density(monkeypatch):
     # the nonnegativity guard on the brute-force total must trip.
     from catscatter.errors import NegativeTotal
 
-    monkeypatch.setattr("catscatter.scattering.wigner_values",
-                        lambda *a: -wigner_values(*a))
+    monkeypatch.setattr("catscatter.scattering.wigner_terms",
+                        lambda *a: [(-p, m) for p, m in wigner_terms(*a)])
     state = BeamState.gaussian(2.0)
     target = TargetProfile.gaussian(20.0)
     kin = Kinematics.elastic(10.0, 10.0 * DEG, 0.0)

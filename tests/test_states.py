@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from catscatter.errors import InvalidCatSeparation, NoPureState, UnsupportedVariant
-from catscatter.quadrature import Interval, QuadratureSpec, integrate_nd
+from catscatter.quadrature import Interval, QuadratureSpec, _rule_for, factored_integrand, integrate_nd
 from catscatter.states import (
     BeamState,
     PhasePoint,
@@ -18,6 +18,7 @@ from catscatter.states import (
     wigner,
     wigner_grid,
     wigner_normalization,
+    wigner_terms,
     wigner_values,
 )
 
@@ -365,6 +366,40 @@ def test_wigner_values_returns_the_broadcast_shape(state):
     assert w.shape == (5, 3, 2)
     assert np.array_equal(w, wigner_values(state, *np.broadcast_arrays(x, y, px, py)))
     assert type(wigner(state, PhasePoint((0.3, -0.2), (0.1, 0.05)))) is float
+
+
+def textbook_wigner(state, x, y, px, py):
+    """W written out in one expression per variant, as in the states docstring."""
+    sx, sy = state.widths
+    gauss = lambda u, v: np.exp(-2 * (sx * sx * px * px + sy * sy * py * py)
+                                - u * u / (2 * sx * sx) - v * v / (2 * sy * sy)) / math.pi ** 2
+    if state.variant in ("gaussian", "anisotropic"):
+        return gauss(x, y)
+    r0x, r0y = state.r0_vec
+    bumps = 0.5 * (gauss(x - r0x, y - r0y) + gauss(x + r0x, y + r0y))
+    if state.variant == "incoherent_pair":
+        return bumps
+    fringe = gauss(x, y) * np.cos(2 * (r0x * px + r0y * py))
+    return (bumps + state.parity * fringe) / (1 + state.parity * state.packet_overlap)
+
+
+@pytest.mark.parametrize("state", FIVE_BEAMS, ids=lambda s: s.variant)
+def test_factors_gathered_to_the_4d_nodes_equal_wigner_values(state):
+    # The 57 Genz-Malik abscissae of random boxes, built as the cubature
+    # builds them, against W from its factors on the 17 + 17 projections.
+    rng = np.random.default_rng(5)
+    sx, sy = state.widths
+    reach = np.array([4 * sx + abs(state.r0_vec[0]), 4 * sy + abs(state.r0_vec[1]),
+                      3 / sx, 3 / sy])
+    center = rng.uniform(-1, 1, (200, 4)) * reach
+    half = rng.uniform(0.01, 0.5, (200, 4)) * reach
+    nodes = _rule_for(4).nodes
+    coords = [center[:, k, None] + half[:, k, None] * nodes[:, k] for k in range(4)]
+    w = factored_integrand(lambda *c: wigner_terms(state, *c))(*coords)
+    assert w.shape == (200, 57)
+    np.testing.assert_allclose(w, wigner_values(state, *coords), rtol=1e-14, atol=0)
+    ref = textbook_wigner(state, *coords)
+    assert np.abs(w - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_scan_box_coverage_enforced():

@@ -109,8 +109,7 @@ def test_density_normalization():
     lim = 8.0 * prof.sigma_t
 
     def f(x, y):
-        st2 = prof.sigma_t ** 2
-        return np.exp(-((x - 0.4) ** 2 + (y - 0.1) ** 2) / (2 * st2)) / (2 * math.pi * st2)
+        return target_density(prof, (x, y))
 
     box = [Interval(0.4 - lim, 0.4 + lim), Interval(0.1 - lim, 0.1 + lim)]
     r = integrate_nd(f, box, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-13),
@@ -122,6 +121,15 @@ def test_density_offset_value():
     prof = TargetProfile.gaussian(2.0, (1.0, 0.0))
     expected = math.exp(-0.5) / (8.0 * math.pi)
     assert target_density(prof, (3.0, 0.0)) == pytest.approx(expected, rel=1e-15)
+
+
+def test_density_on_arrays_equals_its_point_values():
+    prof = TargetProfile.gaussian(2.5, (0.7, -1.2))
+    x, y = np.linspace(-6.0, 6.0, 7)[:, None], np.linspace(-5.0, 4.0, 4)
+    n = target_density(prof, (x, y))
+    assert n.shape == (7, 4)
+    assert [[target_density(prof, (a, b)) for b in y] for a in x.ravel()] == n.tolist()
+    assert type(target_density(prof, (1.0, 2.0))) is float
 
 
 def test_wide_limit_has_no_density():
