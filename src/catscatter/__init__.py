@@ -60,13 +60,13 @@ from .targets import (
     target_density,
 )
 from .scattering import (
+    METHOD_SPECS,
     EventDensity,
     ScatteringConfig,
     ValidityCondition,
     cross_section,
     event_density,
-    event_densities,
-    event_density_scan,
+    event_density_grid,
     event_density_cat_closed,
     event_density_cat_quadrature,
     event_density_gaussian,

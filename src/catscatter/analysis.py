@@ -18,6 +18,10 @@ For every beam dnu depends on phi only through |cos(phi - phi_r0)|
 (the anisotropic beam has phi_r0 = 0), so a scan of 4q samples over the
 whole turn holds q + 1 distinct values: only those azimuths are computed,
 and the other entries are copies of their mirror images.
+
+Every evaluation here is one ``scattering.event_density_grid`` call: an
+asymmetry's phi scan is its 1 x (q + 1) grid, a ``peak_theta`` profile its
+theta x 1 (rate) or theta x 2 (asymmetry) grid.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateDenominator, FlatDistribution, TooFewPoints
-from .scattering import ScatteringConfig, event_densities, event_density_scan
+from .scattering import METHOD_SPECS, ScatteringConfig, event_density_grid
 from .targets import Kinematics
 
 __all__ = [
@@ -64,6 +68,8 @@ class AsymmetrySpec:
             raise ValueError("phi_grid_n must be >= 8")
         if self.metric not in ("para_perp", "minmax"):
             raise ValueError(f"unknown metric {self.metric!r}")
+        if self.method not in METHOD_SPECS:
+            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -113,9 +119,9 @@ def azimuthal_asymmetry(spec: AsymmetrySpec) -> AsymmetryResult:
     """Evaluate the azimuthal asymmetry with its full phi scan.
 
     Only the q + 1 azimuths phi_r0 + (pi/2)(k/q), k = 0..q, are computed,
-    as one array by :func:`~catscatter.scattering.event_density_scan`,
-    which the closed form evaluates without a per-azimuth kinematics or
-    result object.  dnu is pi-periodic and even about phi_r0, so scan entry
+    as one row of :func:`~catscatter.scattering.event_density_grid`, which
+    the closed form evaluates without a per-azimuth kinematics or result
+    object.  dnu is pi-periodic and even about phi_r0, so scan entry
     k equals sample min(k mod 2q, 2q - k mod 2q) and is copied from it
     exactly.
 
@@ -124,9 +130,10 @@ def azimuthal_asymmetry(spec: AsymmetrySpec) -> AsymmetryResult:
     """
     phis = _phi_grid(spec)
     q = len(phis) // 4
-    values, _ = event_density_scan(spec.cfg, spec.kin_base, phis[:q + 1], method=spec.method)
+    ed = event_density_grid(spec.cfg, spec.kin_base, [spec.kin_base.theta], phis[:q + 1],
+                            method=spec.method)
     k = np.arange(4 * q) % (2 * q)
-    vals = values[np.minimum(k, 2 * q - k)].tolist()
+    vals = ed.value[0, np.minimum(k, 2 * q - k)].tolist()
     scan = tuple(zip(phis.tolist(), vals))
     if spec.metric == "para_perp":
         a_val = _para_perp(vals[0], vals[q])
@@ -182,7 +189,7 @@ def sweep(
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
-    if not values:
+    if not len(values):
         raise ValueError("values must be nonempty")
     if axis == "p_i" and not spec.kin_base.is_elastic:
         raise ValueError(f"a p_i sweep sets p_f = p_i, got inelastic {spec.kin_base}")
@@ -289,7 +296,7 @@ def peak_theta(
 
     The grid must cover [1 deg, 45 deg] with at least 50 points (default
     90); the location is refined by a local parabolic fit.  The whole
-    profile is one :func:`event_densities` call.
+    profile is one :func:`~catscatter.scattering.event_density_grid` call.
     """
     if theta_grid is None:
         theta_grid = np.linspace(math.radians(1.0), math.radians(45.0), 90)
@@ -303,10 +310,10 @@ def peak_theta(
 
     phi0 = cfg.state.phi_r0
     phis = (phi0,) if profile == "rate" else (phi0, phi0 + 0.5 * math.pi)
-    eds = event_densities(cfg, [Kinematics(p_i, p_i, float(theta), phi)
-                                for theta in th for phi in phis], method=method)
+    values = event_density_grid(cfg, Kinematics.elastic(p_i, 0.0), th, phis,
+                                method=method).value.tolist()
     if profile == "rate":
-        vals = [math.sin(theta) * ed.value for theta, ed in zip(th, eds)]
+        vals = [math.sin(theta) * v for theta, (v,) in zip(th.tolist(), values)]
     else:
-        vals = [abs(_para_perp(par.value, perp.value)) for par, perp in zip(eds[::2], eds[1::2])]
+        vals = [abs(_para_perp(par, perp)) for par, perp in values]
     return find_peak(th, vals)

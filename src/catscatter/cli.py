@@ -28,13 +28,13 @@ import numpy as np
 from . import __version__
 from .analysis import AsymmetrySpec, azimuthal_asymmetry, sweep as run_sweep
 from .errors import CatscatterError
-from .quadrature import (DEFAULT_SPEC_1D, DEFAULT_SPEC_2D, DEFAULT_SPEC_4D, Interval,
-                         QuadratureSpec, integrate_1d, integrate_nd)
+from .quadrature import Interval, QuadratureSpec, integrate_1d, integrate_nd
 from .scattering import (
+    METHOD_SPECS,
     ScatteringConfig,
     cross_section,
-    event_densities,
     event_density,
+    event_density_grid,
     event_density_cat_quadrature,
     event_density_general,
     validity_check,
@@ -64,9 +64,6 @@ _METHOD_BY_FLAG = {
     "quad2d": "quadrature2d",
     "closed": "closed_form",
 }
-# Each method's default spec; --tol replaces only its rel_tol.
-_SPEC_BY_FLAG = {"auto": DEFAULT_SPEC_1D, "closed": DEFAULT_SPEC_1D,
-                 "quad2d": DEFAULT_SPEC_2D, "general4d": DEFAULT_SPEC_4D}
 _AXIS_BY_FLAG = {"r0": "r0", "sigma-perp": "sigma_perp", "theta": "theta", "pi": "p_i"}
 _SUBCOMMANDS = {
     "wigner": "export a Wigner-function grid",
@@ -281,19 +278,14 @@ def build_target(cfg: RunConfig) -> TargetProfile:
 
 
 def _scattering_config(cfg: RunConfig) -> ScatteringConfig:
-    quad = replace(_SPEC_BY_FLAG[cfg.method], rel_tol=cfg.tol) if cfg.tol is not None else None
+    spec = METHOD_SPECS[_METHOD_BY_FLAG[cfg.method]]  # --tol replaces only its rel_tol
+    quad = replace(spec, rel_tol=cfg.tol) if cfg.tol is not None else None
     return ScatteringConfig(build_state(cfg), build_target(cfg), n_e=cfg.ne, quad=quad)
 
 
 def _kin(cfg: RunConfig, theta_deg: float, phi_deg: float) -> Kinematics:
     p_f = cfg.p_f if cfg.p_f is not None else cfg.p_i
     return Kinematics(cfg.p_i, p_f, theta_deg * DEG, phi_deg * DEG)
-
-
-def _phis(cfg: RunConfig) -> list[float]:
-    if cfg.phi_deg is not None:
-        return cfg.phi_deg
-    return [360.0 * k / cfg.phi_grid for k in range(cfg.phi_grid)]
 
 
 # ---------------------------------------------------------------------------
@@ -308,18 +300,16 @@ def _run_wigner(cfg: RunConfig):
 
 
 def _run_scatter(cfg: RunConfig):
-    method = _METHOD_BY_FLAG[cfg.method]
-    grid = [(th, ph) for th in cfg.theta_deg for ph in _phis(cfg)]
-    eds = event_densities(_scattering_config(cfg), [_kin(cfg, th, ph) for th, ph in grid],
-                          method=method)
-    rows = []
-    for (th, ph), ed in zip(grid, eds):
-        if ed.wide_limit:
-            dnu, dsig = math.nan, ed.value
-        else:
-            dnu = ed.value
-            dsig = cross_section(ed) if ed.sigma_sq is not None else math.nan
-        rows.append((th, ph, dnu, dsig, ed.err_est, ed.method))
+    phis = cfg.phi_deg if cfg.phi_deg is not None else [
+        360.0 * k / cfg.phi_grid for k in range(cfg.phi_grid)]
+    th, ph = np.meshgrid(cfg.theta_deg, phis, indexing="ij")
+    ed = event_density_grid(_scattering_config(cfg), _kin(cfg, th[0, 0], ph[0, 0]),
+                            th[:, 0] * DEG, ph[0] * DEG, method=_METHOD_BY_FLAG[cfg.method])
+    nan = np.full(th.shape, math.nan)
+    dnu = nan if ed.wide_limit else ed.value
+    dsig = cross_section(ed) if ed.wide_limit or ed.sigma_sq is not None else nan
+    rows = [(*row, ed.method) for row in zip(*(a.ravel().tolist()
+                                               for a in (th, ph, dnu, dsig, ed.err_est)))]
     return ["theta_deg", "phi_deg", "dnu", "dsigma", "err_est", "method"], rows, None
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -93,12 +94,14 @@ class QuadratureSpec:
     max_subdivisions: int = 10_000
 
     def __post_init__(self) -> None:
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be > 0")
-        if self.abs_tol < 0:
-            raise ValueError("abs_tol must be >= 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        # A NaN tolerance would fail every err > tol test and stop refinement.
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol!r}")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0):
+            raise ValueError(f"abs_tol must be finite and >= 0, got {self.abs_tol!r}")
+        if not isinstance(self.max_subdivisions, numbers.Integral) or self.max_subdivisions < 1:
+            raise ValueError(f"max_subdivisions must be an integer >= 1, "
+                             f"got {self.max_subdivisions!r}")
 
 
 DEFAULT_SPEC_1D = QuadratureSpec(rel_tol=1e-8)

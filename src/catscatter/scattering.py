@@ -40,10 +40,10 @@ are provided:
   cats have the fringe term.  Its phase is linear in u, and the integrand
   vanishes with all its derivatives as u -> 1, so nothing is truncated.
 
-  ``event_densities`` evaluates a whole list of kinematics (a phi scan, a
-  theta x phi grid) as one vector-valued integral on a shared panel set;
-  ``event_density_cat_closed`` is its one-kinematics case, and
-  ``event_density_scan`` gives a phi scan's values as arrays.
+  ``event_density_grid`` evaluates a theta x phi grid at one (p_i, p_f)
+  as vector-valued integrals on shared panel sets and returns one
+  :class:`EventDensity` of (theta, phi) arrays; ``event_density`` (and
+  ``event_density_cat_closed``) is its 1 x 1 case.
 
 The 2-D momentum route integrates every beam in the lab frame, with its
 per-axis widths, the lab-frame Qperp and the fringe vector 2 r0, so the
@@ -66,7 +66,8 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -105,8 +106,8 @@ __all__ = [
     "event_density_cat_quadrature",
     "event_density_cat_closed",
     "event_density",
-    "event_densities",
-    "event_density_scan",
+    "event_density_grid",
+    "METHOD_SPECS",
     "cross_section",
     "validity_check",
 ]
@@ -114,6 +115,9 @@ __all__ = [
 GENERAL_4D = "general4d"
 QUADRATURE_2D = "quadrature2d"
 CLOSED_FORM = "closed_form"
+# Each method's default quadrature spec; its keys are the methods there are.
+METHOD_SPECS = {"auto": DEFAULT_SPEC_1D, CLOSED_FORM: DEFAULT_SPEC_1D,
+                QUADRATURE_2D: DEFAULT_SPEC_2D, GENERAL_4D: DEFAULT_SPEC_4D}
 
 # Kinematics per closed-form batch integral: one 64-phi scan.  Rows share
 # their fastest row's panels, so uncapped a 20 theta x 64 phi grid at p 20
@@ -137,7 +141,8 @@ class ScatteringConfig:
 
 @dataclass(frozen=True)
 class EventDensity:
-    """d nu / d Omega (or d sigma / d Omega in wide-limit mode).
+    """d nu / d Omega (or d sigma / d Omega in wide-limit mode): floats at
+    one kinematics, (theta, phi) arrays from :func:`event_density_grid`.
 
     ``sigma_sq`` records Sigma^2 = sigma_t^2 + sigma_perp^2 for the
     cross-section conversion; it is None in wide-limit mode (already
@@ -145,9 +150,9 @@ class EventDensity:
     Sigma^2 exists there).
     """
 
-    value: float
+    value: float | np.ndarray
     method: str
-    err_est: float
+    err_est: float | np.ndarray
     sigma_sq: float | None
     wide_limit: bool
     n_e: int = 1
@@ -202,13 +207,6 @@ def _bracket(cfg: ScatteringConfig, wide_pref: float, c: float, d: float,
     return value, err
 
 
-def _views(cfg: ScatteringConfig, method: str, value, err) -> list[EventDensity]:
-    """One :class:`EventDensity` per entry of the (value, err_est) arrays."""
-    ssq = _sigma_sq(cfg.state, cfg.target)
-    return [EventDensity(v, method, e, ssq, cfg.target.wide_limit, cfg.n_e)
-            for v, e in zip(np.atleast_1d(value).tolist(), np.atleast_1d(err).tolist())]
-
-
 # ---------------------------------------------------------------------------
 # 2-D momentum quadrature (Gaussian-convolved target)
 # ---------------------------------------------------------------------------
@@ -248,7 +246,7 @@ def event_density_cat_quadrature(cfg: ScatteringConfig, kin: Kinematics) -> Even
             return w[None]
         return np.stack([w, w * (1.0 + np.cos(cx * qx + cy * qy))])
 
-    res = integrate_nd(rows, box[2:], cfg.quad or DEFAULT_SPEC_2D,
+    res = integrate_nd(rows, box[2:], cfg.quad or METHOD_SPECS[QUADRATURE_2D],
                        initial_splits=phase_space_panels(state, box)[2:])
     # 1 - erf(4 sqrt 2)^2 by erfc, which keeps its digits.
     tail = (math.pi / (2.0 * sx * sy) * math.erfc(4.0 * math.sqrt(2.0))
@@ -256,7 +254,8 @@ def event_density_cat_quadrature(cfg: ScatteringConfig, kin: Kinematics) -> Even
     t, e = res.value, res.err_est
     value, err = _bracket(cfg, 2.0 * sx * sy / math.pi, sx * sy, math.pi ** 2,
                           t[0], e[0] + tail, t[-1], e[-1] + 2.0 * tail)
-    return _views(cfg, QUADRATURE_2D, value, err)[0]
+    return EventDensity(float(value), QUADRATURE_2D, float(err), _sigma_sq(state, cfg.target),
+                        cfg.target.wide_limit, cfg.n_e)
 
 
 # A second name of the same function, kept while the benchmark harness calls it.
@@ -269,10 +268,8 @@ event_density_gaussian = event_density_cat_quadrature
 
 
 def event_density_cat_closed(cfg: ScatteringConfig, kin: Kinematics) -> EventDensity:
-    """Event density off hydrogen via the 1-D closed form (see the module
-    docstring), for every beam: the one-kinematics case of
-    :func:`event_densities`."""
-    return event_densities(cfg, [kin])[0]
+    """:func:`event_density` by the 1-D closed form (see the module docstring)."""
+    return event_density(cfg, kin, CLOSED_FORM)
 
 
 def _closed_form(cfg: ScatteringConfig, q_w: np.ndarray, row_of: np.ndarray,
@@ -327,7 +324,8 @@ def _closed_form(cfg: ScatteringConfig, q_w: np.ndarray, row_of: np.ndarray,
     g0_max = 1.0 + beta * float((qz2 + qa2 + qb2).max())
     halvings = math.ceil(math.log2(edges[1] * g0_max / s8))
     edges = np.concatenate([[0.0], edges[1] * 2.0 ** -np.arange(halvings, 0, -1), edges[1:]])
-    res = integrate_1d(rows, Interval(0.0, 1.0), cfg.quad or DEFAULT_SPEC_1D, initial_panels=edges)
+    res = integrate_1d(rows, Interval(0.0, 1.0), cfg.quad or METHOD_SPECS[CLOSED_FORM],
+                       initial_panels=edges)
     # A beam without fringe rows passes its weights twice: _bracket scales
     # the fringe term by its parity, 0.
     fr = slice(n_w, None) if n_f else row_of
@@ -353,7 +351,7 @@ def event_density_general(cfg: ScatteringConfig, kin: Kinematics) -> EventDensit
     state, target = cfg.state, cfg.target
     if target.wide_limit:
         raise ValueError("event_density_general requires a finite target")
-    spec = cfg.quad or DEFAULT_SPEC_4D
+    spec = cfg.quad or METHOD_SPECS[GENERAL_4D]
     mt = momentum_transfer(kin)
     qx0, qy0 = mt.qperp
     qz = mt.qz
@@ -392,84 +390,83 @@ def event_density_general(cfg: ScatteringConfig, kin: Kinematics) -> EventDensit
 # ---------------------------------------------------------------------------
 
 
-def event_density(cfg: ScatteringConfig, kin: Kinematics, method: str = "auto") -> EventDensity:
-    """:func:`event_densities` for one kinematics.  Every method uses the
-    hydrogen 1s amplitude on the Gaussian target; ``auto`` is the closed
-    form, which every beam has, checked against the 2-D and 4-D routes."""
-    return event_densities(cfg, [kin], method)[0]
-
-
-def event_densities(
-    cfg: ScatteringConfig, kins: Sequence[Kinematics], method: str = "auto"
-) -> list[EventDensity]:
-    """:func:`event_density` for many kinematics sharing ``cfg``, in order.
-
-    ``auto`` is the closed form for every beam.  Its array core integrates
-    up to 64 kinematics at a time as one vector-valued integral on a shared
-    panel set: one weight row per distinct (p_i, p_f, theta), and per phi
-    as well for the anisotropic beam, plus one fringe row per kinematics of
-    a cat, each row meeting the tolerance on its own.  A round beam's phi
-    scan thus shares one weight row.  The cap of 64 bounds cost, not
-    memory: every row of a batch runs on the panels its fastest row needs.
-    Every row lives on u in [0, 1), and the fastest fringe fixes the
-    initial panels at pi/2 of phase each, the first halved down to the
-    narrowest weight's width.  A whole theta profile is one call.  Each
-    :class:`EventDensity` is the one-point view of the core's (value,
-    err_est) arrays, which :func:`event_density_scan` returns as they are.
-    Results are deterministic for a given list, and agree with the
-    one-at-a-time values within their error estimates.  The 2-D and 4-D
-    methods run per point.
-    """
-    kins = list(kins)
-    if method in ("auto", CLOSED_FORM):
-        lab = cfg.state.variant == ANISOTROPIC
-        out: list[EventDensity] = []
-        for i in range(0, len(kins), _BATCH_KINEMATICS):
-            batch, group, q_w = kins[i:i + _BATCH_KINEMATICS], {}, []
-            row_of = np.empty(len(batch), dtype=int)
-            for j, kin in enumerate(batch):
-                key = (kin.p_i, kin.p_f, kin.theta, kin.phi if lab else None)
-                if key not in group:  # a weight row from its first kinematics
-                    mt = momentum_transfer(kin)
-                    group[key] = len(q_w)
-                    q_w.append((mt.qz, *mt.qperp) if lab else (mt.qz, mt.qperp_mag, 0.0))
-                row_of[j] = group[key]
-            out += _views(cfg, CLOSED_FORM, *_closed_form(
-                cfg, np.array(q_w), row_of, np.array([kin.phi for kin in batch])))
-        return out
-    if method == GENERAL_4D:
-        route = event_density_general
-    elif method == QUADRATURE_2D:
-        route = event_density_cat_quadrature
-    else:
+def _pointwise(method: str):
+    """The route that ``method`` runs point by point, or None for the
+    closed form; an unknown method is a ``ValueError``."""
+    if method not in METHOD_SPECS:
         raise ValueError(f"unknown method {method!r}")
-    return [route(cfg, k) for k in kins]
+    return {GENERAL_4D: event_density_general,
+            QUADRATURE_2D: event_density_cat_quadrature}.get(method)
 
 
-def event_density_scan(cfg: ScatteringConfig, kin_base: Kinematics, phis: Sequence[float],
-                       method: str = "auto") -> tuple[np.ndarray, np.ndarray]:
-    """(value, err_est) arrays of :func:`event_densities` at ``kin_base``
-    turned to each of the distinct azimuths ``phis``, bit for bit.  The
-    closed form builds one :class:`Kinematics` per batch of 64 and no
-    :class:`EventDensity`; the 2-D and 4-D methods run per point."""
-    if method not in ("auto", CLOSED_FORM) or not len(phis):
-        eds = event_densities(cfg, [kin_base.with_phi(float(p)) for p in phis], method)
-        return tuple(np.array([(ed.value, ed.err_est) for ed in eds]).reshape(-1, 2).T)
-    lab, parts = cfg.state.variant == ANISOTROPIC, []
-    for i in range(0, len(phis), _BATCH_KINEMATICS):
-        batch = np.asarray(phis[i:i + _BATCH_KINEMATICS], dtype=float)
-        kin = kin_base.with_phi(float(batch[0]))
-        mt, qp = momentum_transfer(kin), kin.p_f * math.sin(kin.theta)  # as momentum_transfer
-        q_w = ([(mt.qz, qp * math.cos(p), qp * math.sin(p)) for p in batch.tolist()] if lab
-               else [(mt.qz, mt.qperp_mag, 0.0)])
-        row_of = np.arange(len(batch)) if lab else np.zeros(len(batch), dtype=int)
-        parts.append(_closed_form(cfg, np.array(q_w), row_of, batch))
-    return tuple(np.concatenate(a) for a in zip(*parts))
+def event_density(cfg: ScatteringConfig, kin: Kinematics, method: str = "auto") -> EventDensity:
+    """d nu / d Omega at one kinematics, all methods with the hydrogen 1s
+    amplitude on the Gaussian target.  ``auto`` is the closed form, which
+    every beam has, checked against the 2-D and 4-D routes: the 1 x 1 case
+    of :func:`event_density_grid`."""
+    route = _pointwise(method)
+    if route is not None:
+        return route(cfg, kin)
+    ed = event_density_grid(cfg, kin, [kin.theta], [kin.phi])
+    return replace(ed, value=ed.value.item(), err_est=ed.err_est.item())
 
 
-def cross_section(ed: EventDensity) -> float:
+def event_density_grid(cfg: ScatteringConfig, kin_base: Kinematics, thetas: Sequence[float],
+                       phis: Sequence[float], method: str = "auto") -> EventDensity:
+    """d nu / d Omega on the ``thetas`` x ``phis`` grid at the momenta p_i
+    and p_f of ``kin_base`` (its angles are not used): one
+    :class:`EventDensity` of (len thetas, len phis) arrays.
+
+    The closed form (``auto``) integrates the cells in row-major order, up
+    to 64 at a time, as one vector-valued integral on a shared panel set,
+    with no :class:`Kinematics` or result per cell: one weight row per
+    theta (per cell for the anisotropic beam), plus one fringe row per cell
+    of a cat, each row meeting the tolerance on its own.  The cap of 64
+    bounds cost, not memory: every row of a batch runs on the panels its
+    fastest row needs.  A cell's value thus depends on its grid within its
+    err_est, and is deterministic for a given grid.  The 2-D and 4-D
+    methods run cell by cell.
+    """
+    route = _pointwise(method)
+    th, ph = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
+    if not (all(0.0 <= t <= math.pi for t in th.tolist()) and all(map(math.isfinite, ph.tolist()))):
+        raise ValueError("thetas must lie in [0, pi] and phis must be finite")
+    if not kin_base.is_elastic:  # as a Kinematics per cell would
+        warnings.warn(f"inelastic kinematics: p_f={kin_base.p_f} differs from "
+                      f"p_i={kin_base.p_i}", stacklevel=2)
+    p_i, p_f, n_ph, n = kin_base.p_i, kin_base.p_f, len(ph), len(th) * len(ph)
+    if route is not None:
+        eds = [route(cfg, Kinematics(p_i, p_f, t, f)) for t in th.tolist() for f in ph.tolist()]
+        value, err = np.array([(ed.value, ed.err_est) for ed in eds]).reshape(n, 2).T
+    else:
+        method, lab = CLOSED_FORM, cfg.state.variant == ANISOTROPIC
+        # Weight rows (Qz, Q_x, Q_y) as momentum_transfer gives them: per
+        # cell for the anisotropic beam, else per theta as (Qz, |Qperp|, 0),
+        # its magnitude taken at the first azimuth.
+        qz = [p_f * math.cos(t) - p_i for t in th.tolist()]
+        qp = [p_f * math.sin(t) for t in th.tolist()]
+        if lab:
+            turns = [(math.cos(f), math.sin(f)) for f in ph.tolist()]
+            q_w = np.array([(z, q * c, q * s) for z, q in zip(qz, qp) for c, s in turns])
+        elif n:
+            c, s = math.cos(ph[0]), math.sin(ph[0])
+            q_w = np.array([(z, math.hypot(q * c, q * s), 0.0) for z, q in zip(qz, qp)])
+        value, err = np.empty(n), np.empty(n)
+        for i in range(0, n, _BATCH_KINEMATICS):  # each batch on its slice of weight rows
+            j = min(i + _BATCH_KINEMATICS, n)
+            cells = np.arange(i, j)
+            rows = cells if lab else cells // n_ph
+            lo = int(rows[0])
+            value[i:j], err[i:j] = _closed_form(cfg, q_w[lo:int(rows[-1]) + 1], rows - lo,
+                                                ph[cells % n_ph])
+    return EventDensity(value.reshape(len(th), n_ph), method, err.reshape(len(th), n_ph),
+                        _sigma_sq(cfg.state, cfg.target), cfg.target.wide_limit, cfg.n_e)
+
+
+def cross_section(ed: EventDensity) -> float | np.ndarray:
     """Effective cross section 2 pi Sigma^2 / N_e * d nu / d Omega [a^2/sr],
-    with N_e = ``ed.n_e``, the electron count the density was computed for.
+    with N_e = ``ed.n_e``, the electron count the density was computed for;
+    entry by entry for a grid.
 
     Idempotent on wide-limit results (they are already cross sections).
     """

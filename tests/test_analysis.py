@@ -1,10 +1,12 @@
+import contextlib
+import io
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from catscatter import analysis
+from catscatter import analysis, cli
 from catscatter.analysis import (
     AsymmetrySpec,
     _phi_grid,
@@ -19,9 +21,8 @@ from catscatter import scattering
 from catscatter.scattering import (
     EventDensity,
     ScatteringConfig,
-    event_densities,
     event_density,
-    event_density_scan,
+    event_density_grid,
 )
 from catscatter.states import BeamState
 from catscatter.targets import Kinematics, TargetProfile
@@ -132,19 +133,19 @@ def test_reduced_scan_matches_a_full_scan(state, target, method, n):
                          kin_base=Kinematics.elastic(10.0, 10.0 * DEG),
                          phi_grid_n=n, method=method)
     grid = _phi_grid(spec)
-    full = event_densities(spec.cfg, [spec.kin_base.with_phi(float(p)) for p in grid],
-                           method=method)
+    full = event_density_grid(spec.cfg, spec.kin_base, [spec.kin_base.theta], grid,
+                              method=method)
+    vals, errs = full.value[0].tolist(), full.err_est[0].tolist()
     res = azimuthal_asymmetry(spec)
     q = len(grid) // 4
     assert [p for p, _ in res.phi_scan] == grid.tolist()
     for k, (_, v) in enumerate(res.phi_scan):
         m = min(k % (2 * q), 2 * q - k % (2 * q))  # the computed sample it copies
-        assert abs(v - full[k].value) <= full[k].err_est + full[m].err_est
+        assert abs(v - vals[k]) <= errs[k] + errs[m]
     # Each extreme may be off by two err_est, which moves (hi - lo)/(hi + lo)
     # by at most twice that over (hi + lo).
-    vals = [ed.value for ed in full]
     hi, lo = max(vals), min(vals)
-    off = 2.0 * max(ed.err_est for ed in full)
+    off = 2.0 * max(errs)
     mm = azimuthal_asymmetry(replace(spec, metric="minmax"))
     assert abs(mm.A - (hi - lo) / (hi + lo)) <= 2.0 * off / (hi + lo)
 
@@ -153,13 +154,13 @@ def test_reduced_scan_matches_a_full_scan(state, target, method, n):
 def test_scan_evaluates_only_the_distinct_azimuths(monkeypatch, n, distinct):
     sizes = []
 
-    def counting(cfg, kin_base, phis, method="auto"):
-        sizes.append(len(phis))
-        return event_density_scan(cfg, kin_base, phis, method=method)
+    def counting(cfg, kin_base, thetas, phis, method="auto"):
+        sizes.append((len(thetas), len(phis)))
+        return event_density_grid(cfg, kin_base, thetas, phis, method=method)
 
-    monkeypatch.setattr(analysis, "event_density_scan", counting)
+    monkeypatch.setattr(analysis, "event_density_grid", counting)
     res = azimuthal_asymmetry(spec_for(BeamState.odd_cat(2.0, 3.0), phi_grid_n=n))
-    assert sizes == [distinct]
+    assert sizes == [(1, distinct)]
     assert len(res.phi_scan) == 4 * (distinct - 1)
 
 
@@ -169,17 +170,16 @@ def test_scan_evaluates_only_the_distinct_azimuths(monkeypatch, n, distinct):
                          ids=["wide", "offset"])
 @pytest.mark.parametrize("state", FIVE_BEAMS, ids=lambda s: s.variant)
 def test_array_scan_equals_the_list_path_bit_for_bit(state, target, n):
+    # The phi scan's list holds the grid's values, mirrored, bit for bit.
     spec = AsymmetrySpec(cfg=ScatteringConfig(state=state, target=target),
                          kin_base=Kinematics.elastic(10.0, 10.0 * DEG),
                          phi_grid_n=n, method="closed_form")
     grid = _phi_grid(spec)
     q = len(grid) // 4
-    eds = event_densities(spec.cfg, [spec.kin_base.with_phi(float(p)) for p in grid[:q + 1]])
-    values, errs = event_density_scan(spec.cfg, spec.kin_base, grid[:q + 1])
-    assert values.tolist() == [ed.value for ed in eds]
-    assert errs.tolist() == [ed.err_est for ed in eds]
+    values = event_density_grid(spec.cfg, spec.kin_base, [spec.kin_base.theta],
+                                grid[:q + 1]).value[0].tolist()
     k = np.arange(4 * q) % (2 * q)
-    want = [eds[j].value for j in np.minimum(k, 2 * q - k)]
+    want = [values[j] for j in np.minimum(k, 2 * q - k)]
     res = azimuthal_asymmetry(spec)
     assert [v for _, v in res.phi_scan] == want
     assert res.A == (want[q] - want[0]) / (want[q] + want[0])
@@ -188,18 +188,18 @@ def test_array_scan_equals_the_list_path_bit_for_bit(state, target, n):
 @pytest.mark.parametrize("method", ["auto", "quadrature2d", "nope"])
 def test_an_empty_scan_gives_empty_arrays(method):
     spec = spec_for(BeamState.even_cat(2.0, 4.0))
-    if method == "nope":
-        with pytest.raises(ValueError, match="unknown method"):
-            event_density_scan(spec.cfg, spec.kin_base, [], method=method)
-        return
-    values, errs = event_density_scan(spec.cfg, spec.kin_base, [], method=method)
-    assert values.shape == errs.shape == (0,)
+    for thetas, phis in (([0.1], []), ([], [0.0, 1.0])):
+        if method == "nope":
+            with pytest.raises(ValueError, match="unknown method"):
+                event_density_grid(spec.cfg, spec.kin_base, thetas, phis, method=method)
+            continue
+        ed = event_density_grid(spec.cfg, spec.kin_base, thetas, phis, method=method)
+        assert ed.value.shape == ed.err_est.shape == (len(thetas), len(phis))
 
 
-@pytest.mark.parametrize("state", FIVE_BEAMS, ids=lambda s: s.variant)
-def test_closed_form_scan_builds_no_per_azimuth_objects(monkeypatch, state):
-    cfg = ScatteringConfig(state=state, target=TargetProfile.gaussian(20.0, (3.0, -2.0)))
-    spec = replace(spec_for(state, phi_grid_n=64), cfg=cfg)
+@pytest.fixture
+def construction_counts(monkeypatch):
+    """Counts of closed-form integrals, Kinematics and EventDensity built."""
     counts = {"integrate_1d": 0, "Kinematics": 0, "EventDensity": 0}
 
     def count(owner, attr, name):
@@ -214,10 +214,32 @@ def test_closed_form_scan_builds_no_per_azimuth_objects(monkeypatch, state):
     count(scattering, "integrate_1d", "integrate_1d")
     count(Kinematics, "__post_init__", "Kinematics")
     count(EventDensity, "__init__", "EventDensity")
+    return counts
+
+
+@pytest.mark.parametrize("state", FIVE_BEAMS, ids=lambda s: s.variant)
+def test_closed_form_scan_builds_no_per_azimuth_objects(construction_counts, state):
+    cfg = ScatteringConfig(state=state, target=TargetProfile.gaussian(20.0, (3.0, -2.0)))
+    spec = replace(spec_for(state, phi_grid_n=64), cfg=cfg)
     assert len(azimuthal_asymmetry(spec).phi_scan) == 64
-    assert counts["integrate_1d"] == 1
-    assert counts["Kinematics"] <= 1
-    assert counts["EventDensity"] == 0
+    # One integral and one grid result; the spec's own kinematics is all there is.
+    assert construction_counts == {"integrate_1d": 1, "Kinematics": 1, "EventDensity": 1}
+
+
+@pytest.mark.parametrize("state", [FIVE_BEAMS[0], FIVE_BEAMS[2]], ids=lambda s: s.variant)
+def test_peak_theta_and_cli_scatter_build_no_per_point_objects(construction_counts, state):
+    # A 90-theta profile (90 or 180 cells, 64 to an integral) and a 3 x 16
+    # CLI grid: one Kinematics for the momenta and one grid result each.
+    cfg = ScatteringConfig(state=state, target=TargetProfile.gaussian(20.0, (3.0, -2.0)))
+    peak_theta(cfg, 20.0)
+    assert construction_counts == {"integrate_1d": 2 if state.parity == 0 else 3,
+                                   "Kinematics": 1, "EventDensity": 1}
+    for key in construction_counts:
+        construction_counts[key] = 0
+    flags = ["--state", "odd-cat", "--r0", "3"] if state.parity else []
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["scatter", *flags, "--sigma-t", "20", "--theta", "5:15:3"]) == 0
+    assert construction_counts == {"integrate_1d": 1, "Kinematics": 1, "EventDensity": 1}
 
 
 # -- sweeps ---------------------------------------------------------------------
@@ -269,6 +291,15 @@ def test_sweep_rejects_bad_axis_and_empty_values():
         sweep(spec_for(BeamState.gaussian(2.0)), "nope", [1.0])
     with pytest.raises(ValueError):
         sweep(spec_for(BeamState.gaussian(2.0)), "r0", [])
+    with pytest.raises(ValueError, match="nonempty"):
+        sweep(spec_for(BeamState.gaussian(2.0)), "r0", np.array([]))
+    rows = sweep(spec_for(BeamState.odd_cat(2.0, 2.0)), "r0", np.array([2.0, 3.0]))
+    assert [(r.value, r.error) for r in rows] == [(2.0, None), (3.0, None)]
+
+
+def test_an_unknown_method_is_rejected_when_the_spec_is_built():
+    with pytest.raises(ValueError, match="unknown method 'nope'"):
+        spec_for(BeamState.gaussian(2.0), method="nope")
 
 
 # -- oscillation detection --------------------------------------------------------
@@ -367,27 +398,28 @@ def test_cat_asymmetry_peak_tracks_reported_angles():
 
 @pytest.mark.parametrize("target", [WIDE, TargetProfile.gaussian(20.0, (1.0, -2.0))])
 def test_peak_theta_profile_is_one_batch(monkeypatch, target):
-    # The whole asymmetry profile is one event_densities call, and each of
-    # its values agrees with a call per theta within the summed err_est.
+    # The whole asymmetry profile is one event_density_grid call, and each
+    # of its values agrees with a call per theta within the summed err_est.
     cfg = ScatteringConfig(BeamState.odd_cat(2.0, 3.0, phi_r0=0.4), target)
     calls = []
 
-    def recording(cfg_, kins, method="auto"):
-        eds = event_densities(cfg_, kins, method=method)
-        calls.append((kins, eds))
-        return eds
+    def recording(cfg_, kin_base, thetas, phis, method="auto"):
+        ed = event_density_grid(cfg_, kin_base, thetas, phis, method=method)
+        calls.append((kin_base, list(thetas), list(phis), ed))
+        return ed
 
-    monkeypatch.setattr(analysis, "event_densities", recording)
+    monkeypatch.setattr(analysis, "event_density_grid", recording)
     pk = peak_theta(cfg, 20.0)
     assert len(calls) == 1
-    kins, batch = calls[0]
+    kin_base, thetas, phis, batch = calls[0]
     th = np.linspace(math.radians(1.0), math.radians(45.0), 90)
-    assert [k.theta for k in kins] == np.repeat(th, 2).tolist()
-    per_theta = [ed for j in range(0, len(kins), 2) for ed in event_densities(cfg, kins[j:j + 2])]
-    for b, one in zip(batch, per_theta):
-        assert abs(b.value - one.value) <= b.err_est + one.err_est
-    profile = [abs((perp.value - par.value) / (perp.value + par.value))
-               for par, perp in zip(per_theta[::2], per_theta[1::2])]
+    assert (kin_base.p_i, kin_base.p_f) == (20.0, 20.0)
+    assert thetas == th.tolist() and phis == [0.4, 0.4 + 0.5 * math.pi]
+    per_theta = [event_density_grid(cfg, kin_base, [t], phis) for t in thetas]
+    for i, one in enumerate(per_theta):
+        assert np.all(abs(batch.value[i] - one.value[0]) <= batch.err_est[i] + one.err_est[0])
+    profile = [abs((perp - par) / (perp + par)) for par, perp in
+               (one.value[0].tolist() for one in per_theta)]
     assert abs(find_peak(th, profile).theta_star - pk.theta_star) <= 1e-6
 
 

@@ -9,11 +9,12 @@ this test reads only the JSON.
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 from catscatter import BeamState, Kinematics, ScatteringConfig, TargetProfile
-from catscatter.scattering import event_densities, event_density, event_density_cat_closed
+from catscatter.scattering import event_density, event_density_cat_closed, event_density_grid
 
 DATA = Path(__file__).parent / "data" / "closed_form_reference.json"
 
@@ -63,17 +64,20 @@ def test_closed_form_err_est_bounds_reference_error():
 
 
 def test_closed_form_batch_err_est_bounds_reference_error():
-    # Points sharing a state and a target, evaluated as one batch: rows of
-    # different momentum transfer share one panel set.
-    groups: dict[str, list[dict]] = {}
-    for pt in json.loads(DATA.read_text())["points"]:
-        key = json.dumps({k: v for k, v in pt.items() if k not in ("p", "theta", "phi",
-                                                                     "reference")})
-        groups.setdefault(key, []).append(pt)
-    batches = [g for g in groups.values() if len(g) > 1]
-    assert sum(map(len, batches)) >= 8
-    for pts in batches:
-        _assert_bounded(zip(event_densities(_config(pts[0]), map(_kinematics, pts)), pts))
+    # Each point as the first cell of a 2 x 3 grid whose other rows turn
+    # faster (a larger polar angle) and sit at other azimuths: it shares a
+    # panel set with them and must keep its own bound.
+    points = json.loads(DATA.read_text())["points"]
+    assert len(points) >= 300
+
+    def first_cell(pt):
+        th, phi = pt["theta"], pt["phi"]
+        grid = event_density_grid(_config(pt), _kinematics(pt),
+                                  [th, min(math.pi, 2.0 * th + 0.1)], [phi, phi + 1.0, phi + 2.5])
+        assert grid.value.shape == (2, 3)
+        return replace(grid, value=grid.value[0, 0].item(), err_est=grid.err_est[0, 0].item())
+
+    _assert_bounded((first_cell(pt), pt) for pt in points)
 
 
 def test_quad2d_err_est_bounds_reference_error():

@@ -38,6 +38,16 @@ def test_spec_invariants():
         QuadratureSpec(abs_tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=0)
+    # A NaN tolerance fails every err > tol test and would stop refinement
+    # at once; a fractional budget would fail deep inside the adaptive loop.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="rel_tol"):
+            QuadratureSpec(rel_tol=bad)
+        with pytest.raises(ValueError, match="abs_tol"):
+            QuadratureSpec(abs_tol=bad)
+    with pytest.raises(ValueError, match="max_subdivisions"):
+        QuadratureSpec(max_subdivisions=2.5)
+    assert QuadratureSpec(max_subdivisions=np.int64(5)).max_subdivisions == 5
 
 
 def test_polynomial():

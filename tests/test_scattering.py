@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +12,12 @@ from catscatter.scattering import (
     EventDensity,
     ScatteringConfig,
     cross_section,
-    event_densities,
     event_density,
     event_density_cat_closed,
     event_density_cat_quadrature,
     event_density_gaussian,
     event_density_general,
+    event_density_grid,
     validity_check,
 )
 from catscatter.states import BeamState, negativity_scan, wigner_grid, wigner_terms
@@ -297,24 +299,56 @@ def test_event_density_nonnegative_batch():
 ])
 def test_batched_closed_form_matches_one_at_a_time(maker, target):
     cfg = ScatteringConfig(maker(2.0, 3.0, phi_r0=0.4), target)
-    kins = [Kinematics(p, p, th, phi) for p in (8.0, 12.0) for th in (0.05, 0.2)
-            for phi in np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False)]
-    batch = event_densities(cfg, kins)
-    assert len(batch) == len(kins)
-    for ed, kin in zip(batch, kins):
-        one = event_density_cat_closed(cfg, kin)
-        assert (ed.method, ed.sigma_sq, ed.wide_limit) == (one.method, one.sigma_sq,
-                                                           one.wide_limit)
-        assert abs(ed.value - one.value) <= ed.err_est + one.err_est
-    assert event_densities(cfg, []) == []
+    thetas, phis = [0.05, 0.2], np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False)
+    for p in (8.0, 12.0):
+        grid = event_density_grid(cfg, Kinematics(p, p, 1.0), thetas, phis)
+        assert grid.value.shape == grid.err_est.shape == (2, 6)
+        for (i, th), (j, phi) in itertools.product(enumerate(thetas), enumerate(phis)):
+            one = event_density_cat_closed(cfg, Kinematics(p, p, th, phi))
+            assert (grid.method, grid.sigma_sq, grid.wide_limit) == (one.method, one.sigma_sq,
+                                                                     one.wide_limit)
+            assert abs(grid.value[i, j] - one.value) <= grid.err_est[i, j] + one.err_est
+    for th, ph in (([], phis), (thetas, [])):
+        empty = event_density_grid(cfg, Kinematics(8.0, 8.0, 1.0), th, ph)
+        assert empty.value.shape == empty.err_est.shape == (len(th), len(ph))
 
 
 def test_batched_route_loops_for_other_methods():
-    cfg = wide_cfg(BeamState.gaussian(2.0))
-    kins = [Kinematics.elastic(10.0, 0.1, phi) for phi in (0.0, 1.0)]
-    assert event_densities(cfg, kins) == [event_density(cfg, k) for k in kins]
+    # The 2-D and 4-D grids are their routes run cell by cell, bit for bit;
+    # so is a closed-form phi row of a beam without fringe rows, whose one
+    # weight row serves every azimuth.
+    for method, target in (("auto", WIDE), ("quadrature2d", WIDE),
+                           ("general4d", TargetProfile.gaussian(20.0))):
+        cfg = ScatteringConfig(BeamState.gaussian(2.0), target)
+        grid = event_density_grid(cfg, Kinematics.elastic(10.0, 1.0), [0.1], [0.0, 1.0], method)
+        eds = [event_density(cfg, Kinematics.elastic(10.0, 0.1, phi), method)
+               for phi in (0.0, 1.0)]
+        assert grid.method == eds[0].method == method.replace("auto", "closed_form")
+        assert grid.value.tolist() == [[ed.value for ed in eds]]
+        assert grid.err_est.tolist() == [[ed.err_est for ed in eds]]
     with pytest.raises(ValueError, match="unknown method"):
-        event_densities(cfg, kins, method="nope")
+        event_density_grid(cfg, Kinematics.elastic(10.0, 0.1), [0.1], [0.0], method="nope")
+
+
+@pytest.mark.parametrize("target", [WIDE, TargetProfile.gaussian(20.0, (1.0, -2.0))])
+def test_cross_section_of_a_grid_is_the_per_point_values(target):
+    # Converting the grid converts each cell as a one-point result would.
+    cfg = ScatteringConfig(BeamState.even_cat(2.0, 3.0, phi_r0=0.4), target, n_e=3)
+    grid = event_density_grid(cfg, Kinematics.elastic(10.0, 1.0), [0.05, 0.1, 0.2], [0.0, 0.7])
+    per_point = [[cross_section(replace(grid, value=v, err_est=e)) for v, e in zip(*rows)]
+                 for rows in zip(grid.value.tolist(), grid.err_est.tolist())]
+    assert cross_section(grid).tolist() == per_point
+    if not target.wide_limit:
+        assert per_point[0][0] != grid.value[0, 0]
+
+
+def test_a_grid_rejects_angles_outside_their_range():
+    cfg = wide_cfg(BeamState.gaussian(2.0))
+    kin = Kinematics.elastic(10.0, 0.1)
+    for thetas, phis in (([-0.1], [0.0]), ([4.0], [0.0]), ([math.nan], [0.0]),
+                         ([0.1], [math.inf])):
+        with pytest.raises(ValueError, match="thetas must lie in"):
+            event_density_grid(cfg, kin, thetas, phis)
 
 
 # -- closed form --------------------------------------------------------------
