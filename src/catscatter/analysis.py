@@ -27,6 +27,7 @@ theta x 1 (rate) or theta x 2 (asymmetry) grid.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -35,6 +36,7 @@ import numpy as np
 
 from .errors import DegenerateDenominator, FlatDistribution, TooFewPoints
 from .scattering import METHOD_SPECS, ScatteringConfig, event_density_grid
+from .states import ANISOTROPIC
 from .targets import Kinematics
 
 __all__ = [
@@ -64,6 +66,8 @@ class AsymmetrySpec:
     method: str = "auto"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.phi_grid_n, numbers.Integral):
+            raise ValueError(f"phi_grid_n must be an integer, got {self.phi_grid_n!r}")
         if self.phi_grid_n < 8:
             raise ValueError("phi_grid_n must be >= 8")
         if self.metric not in ("para_perp", "minmax"):
@@ -191,6 +195,8 @@ def sweep(
         raise ValueError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
     if not len(values):
         raise ValueError("values must be nonempty")
+    if axis == "sigma_perp" and spec.cfg.state.variant == ANISOTROPIC:
+        raise ValueError("an anisotropic beam reads sigma_x and sigma_y, not sigma_perp")
     if axis == "p_i" and not spec.kin_base.is_elastic:
         raise ValueError(f"a p_i sweep sets p_f = p_i, got inelastic {spec.kin_base}")
 

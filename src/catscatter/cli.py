@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import numbers
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -35,8 +36,6 @@ from .scattering import (
     cross_section,
     event_density,
     event_density_grid,
-    event_density_cat_quadrature,
-    event_density_general,
     validity_check,
 )
 from .states import (
@@ -44,6 +43,7 @@ from .states import (
     BeamState,
     PhasePoint,
     momentum_from_keV,
+    wigner,
     wigner_grid,
     wigner_normalization,
 )
@@ -191,8 +191,8 @@ class RunConfig:
         if self.tol is not None and not self.tol > 0:
             raise _InputError(f"--tol must be > 0, got {self.tol!r}")
         for flag, n in (("--phi-grid", self.phi_grid), ("--grid", self.grid)):
-            if n < 1:
-                raise _InputError(f"{flag} must be >= 1, got {n!r}")
+            if not isinstance(n, numbers.Integral) or n < 1:
+                raise _InputError(f"{flag} must be an integer >= 1, got {n!r}")
         if self.subcommand in ("asymmetry", "sweep") and len(self.theta_deg) > 1:
             raise _InputError(f"{self.subcommand} takes one --theta, got {len(self.theta_deg)}")
         if self.r0_ratio is not None and self.axis != "sigma-perp":
@@ -380,11 +380,10 @@ def _run_validate(cfg: RunConfig):
     pi2 = 1.0 / math.pi ** 2
     st_e = BeamState.even_cat(2.0, 4.0)
     st_o = BeamState.odd_cat(2.0, 4.0)
-    from .states import wigner as wig  # local alias keeps module top lean
-    w0 = wig(BeamState.gaussian(2.0), PhasePoint((0, 0), (0, 0)))
+    w0 = wigner(BeamState.gaussian(2.0), PhasePoint((0, 0), (0, 0)))
     check("wigner gaussian origin", abs(w0 - pi2) <= 1e-12, fmt(w0))
-    we = wig(st_e, PhasePoint((0, 0), (0, 0)))
-    wo = wig(st_o, PhasePoint((0, 0), (0, 0)))
+    we = wigner(st_e, PhasePoint((0, 0), (0, 0)))
+    wo = wigner(st_o, PhasePoint((0, 0), (0, 0)))
     check("wigner even-cat origin", abs(we - pi2) <= 1e-12, fmt(we))
     check("wigner odd-cat origin", abs(wo + pi2) <= 1e-12, fmt(wo))
     nrm = wigner_normalization(st_e)
@@ -397,17 +396,15 @@ def _run_validate(cfg: RunConfig):
     for st in (st_e, st_o):
         for th in (5.0, 10.0):
             kin = Kinematics.elastic(10.0, th * DEG, 0.4)
-            c = event_density(ScatteringConfig(st, wide, quad=tight1), kin,
-                              method="closed_form")
-            q = event_density_cat_quadrature(
-                ScatteringConfig(st, wide, quad=tight2), kin)
+            c = event_density(ScatteringConfig(st, wide, quad=tight1), kin, "closed_form")
+            q = event_density(ScatteringConfig(st, wide, quad=tight2), kin, "quadrature2d")
             worst = max(worst, abs(c.value - q.value) / abs(q.value))
     check("three-method closed vs quad2d", worst <= 1e-6, f"max rel {worst:.3e} <= 1e-06")
 
     tgt = TargetProfile.gaussian(20.0)
     kin = Kinematics.elastic(10.0, 10.0 * DEG, 0.7)
-    g4 = event_density_general(ScatteringConfig(st_e, tgt), kin)
-    q2 = event_density_cat_quadrature(ScatteringConfig(st_e, tgt, quad=tight2), kin)
+    g4 = event_density(ScatteringConfig(st_e, tgt), kin, "general4d")
+    q2 = event_density(ScatteringConfig(st_e, tgt, quad=tight2), kin, "quadrature2d")
     rel = abs(g4.value - q2.value) / abs(q2.value)
     check("three-method general4d vs quad2d", rel <= 1e-3, f"rel {rel:.3e} <= 1e-03")
 
@@ -415,8 +412,8 @@ def _run_validate(cfg: RunConfig):
     sc = ScatteringConfig(stg, TargetProfile.gaussian(20.0, (3.0, 0.0)), quad=tight2)
     # The nulls run on the lab-frame 2-D route: the closed form gives every phi
     # of a round beam one weight row, so they would hold by construction there.
-    vals = [event_density(sc, Kinematics.elastic(10.0, 10.0 * DEG, f), "quadrature2d").value
-            for f in (0.0, 1.0, 2.0, 4.0)]
+    vals = event_density_grid(sc, Kinematics.elastic(10.0, 10.0 * DEG), [10.0 * DEG],
+                              [0.0, 1.0, 2.0, 4.0], "quadrature2d").value[0].tolist()
     spread = (max(vals) - min(vals)) / max(vals)
     check("gaussian off-axis phi flat", spread <= 1e-6, f"rel spread {spread:.3e}")
 

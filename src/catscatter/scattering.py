@@ -8,21 +8,22 @@ of scattering events per solid angle is
 
 where Q - p is the 3-vector (Qperp - p, Qz).  Every route uses the
 hydrogen 1s amplitude on the Gaussian target; three evaluation methods
-are provided:
+are provided, each also under a public route name:
 
-* ``event_density_general``      -- honest 4-D cubature of the formula
-  above over truncated boxes (the brute-force oracle, any state, finite
-  targets only).  It integrates W itself, negative fringe included, as
-  the products P_k(b) M_k(p) of ``states.wigner_terms`` with n(b) on each
-  P_k and f^2 on each M_k, so every factor runs on the distinct position
-  or momentum projections of the Genz-Malik nodes (17 of 57) only;
-* ``event_density_cat_quadrature`` -- the 2-D momentum route, one
-  function for every beam and the check on the closed form (also bound as
-  ``event_density_gaussian``, a second name of the same function): the
-  target integral is done analytically (Gaussian convolution), leaving a
-  2-D momentum quadrature of the Gaussian-weighted amplitude, plus a
-  weight * (1 + cos(2 r0 . p)) row for the cats;
-* ``event_density_cat_closed``   -- every beam, and what ``auto`` means:
+* ``general4d`` (``event_density_general``) -- honest 4-D cubature of the
+  formula above over truncated boxes (the brute-force oracle, any state,
+  finite targets only).  It integrates W itself, negative fringe included,
+  as the products P_k(b) M_k(p) of ``states.wigner_terms`` with n(b) on
+  each P_k and f^2 on each M_k, so every factor runs on the distinct
+  position or momentum projections of the Genz-Malik nodes (17 of 57) only;
+* ``quadrature2d`` (``event_density_cat_quadrature``, also bound as
+  ``event_density_gaussian``) -- the 2-D momentum route, for every beam
+  and the check on the closed form: the target integral is done
+  analytically (Gaussian convolution), leaving a 2-D momentum quadrature
+  of the Gaussian-weighted amplitude, plus a weight * (1 + cos(2 r0 . p))
+  row for the cats;
+* ``closed_form`` (``event_density_cat_closed``) -- every beam, and what
+  ``auto`` means:
   the momentum integral is also done analytically, one Gaussian axis at a
   time, via a Schwinger parameterization, leaving a single exponentially
   damped 1-D integral over the Schwinger parameter x in [0, inf).  The map
@@ -40,10 +41,10 @@ are provided:
   cats have the fringe term.  Its phase is linear in u, and the integrand
   vanishes with all its derivatives as u -> 1, so nothing is truncated.
 
-  ``event_density_grid`` evaluates a theta x phi grid at one (p_i, p_f)
-  as vector-valued integrals on shared panel sets and returns one
-  :class:`EventDensity` of (theta, phi) arrays; ``event_density`` (and
-  ``event_density_cat_closed``) is its 1 x 1 case.
+``event_density_grid`` assembles every method's event density on a theta
+x phi grid at one (p_i, p_f): it forms each cell's momentum transfer once
+and hands it to the method's kernel, with no per-cell kinematics or result
+object.  ``event_density`` and the three route names are its 1 x 1 case.
 
 The 2-D momentum route integrates every beam in the lab frame, with its
 per-axis widths, the lab-frame Qperp and the fringe vector 2 r0, so the
@@ -94,8 +95,8 @@ from .states import (
     phase_space_panels,
     wigner_terms,
 )
-from .targets import (Kinematics, TargetProfile, hydrogen_amplitude, momentum_transfer,
-                      target_density)
+from .targets import (Kinematics, TargetProfile, hydrogen_amplitude, target_density,
+                      transfer_components)
 
 __all__ = [
     "ScatteringConfig",
@@ -158,13 +159,6 @@ class EventDensity:
     n_e: int = 1
 
 
-def _sigma_sq(state: BeamState, target: TargetProfile) -> float | None:
-    """``EventDensity.sigma_sq``; None in the wide limit and for the anisotropic beam."""
-    if target.wide_limit or state.variant == ANISOTROPIC:
-        return None
-    return target.sigma_t ** 2 + state.sigma_perp ** 2
-
-
 def _target_weights(state: BeamState, target: TargetProfile) -> tuple[float, float, float]:
     """(prod_j Sigma_j^2, bw, off) of a finite target: Sigma_j^2 = sigma_t^2 +
     sigma_j^2 per axis, the displaced-packet weight bw = [E(b0 - r0) +
@@ -212,9 +206,9 @@ def _bracket(cfg: ScatteringConfig, wide_pref: float, c: float, d: float,
 # ---------------------------------------------------------------------------
 
 
-def event_density_cat_quadrature(cfg: ScatteringConfig, kin: Kinematics) -> EventDensity:
-    """Event density for every beam by 2-D momentum quadrature in the lab
-    frame: :func:`_bracket` with the momentum integrals
+def _quadrature2d(cfg: ScatteringConfig, qz: float, qx0: float, qy0: float) -> tuple[float, float]:
+    """(value, err_est) at Q = (qz, qx0, qy0) for every beam by 2-D momentum
+    quadrature in the lab frame: :func:`_bracket` with the momentum integrals
 
         t_one = int d2q f(|Q - q|)^2 exp(-2 (sigma_x^2 q_x^2 + sigma_y^2 q_y^2)),
         t_sum = the same integrand times 1 + cos(2 r0 . q),
@@ -232,9 +226,7 @@ def event_density_cat_quadrature(cfg: ScatteringConfig, kin: Kinematics) -> Even
     """
     state = cfg.state
     sx, sy = state.widths
-    mt = momentum_transfer(kin)
-    qx0, qy0 = mt.qperp
-    wx, wy, qz2 = -2.0 * sx ** 2, -2.0 * sy ** 2, mt.qz * mt.qz
+    wx, wy, qz2 = -2.0 * sx ** 2, -2.0 * sy ** 2, qz * qz
     cx, cy = 2.0 * state.r0_vec
     box = phase_space_box(state.widths, state.r0_vec, 4.0, 4.0)
 
@@ -252,24 +244,13 @@ def event_density_cat_quadrature(cfg: ScatteringConfig, kin: Kinematics) -> Even
     tail = (math.pi / (2.0 * sx * sy) * math.erfc(4.0 * math.sqrt(2.0))
             * (1.0 + math.erf(4.0 * math.sqrt(2.0))))
     t, e = res.value, res.err_est
-    value, err = _bracket(cfg, 2.0 * sx * sy / math.pi, sx * sy, math.pi ** 2,
-                          t[0], e[0] + tail, t[-1], e[-1] + 2.0 * tail)
-    return EventDensity(float(value), QUADRATURE_2D, float(err), _sigma_sq(state, cfg.target),
-                        cfg.target.wide_limit, cfg.n_e)
-
-
-# A second name of the same function, kept while the benchmark harness calls it.
-event_density_gaussian = event_density_cat_quadrature
+    return _bracket(cfg, 2.0 * sx * sy / math.pi, sx * sy, math.pi ** 2,
+                    t[0], e[0] + tail, t[-1], e[-1] + 2.0 * tail)
 
 
 # ---------------------------------------------------------------------------
 # Hydrogen closed form (1-D)
 # ---------------------------------------------------------------------------
-
-
-def event_density_cat_closed(cfg: ScatteringConfig, kin: Kinematics) -> EventDensity:
-    """:func:`event_density` by the 1-D closed form (see the module docstring)."""
-    return event_density(cfg, kin, CLOSED_FORM)
 
 
 def _closed_form(cfg: ScatteringConfig, q_w: np.ndarray, row_of: np.ndarray,
@@ -338,9 +319,10 @@ def _closed_form(cfg: ScatteringConfig, q_w: np.ndarray, row_of: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def event_density_general(cfg: ScatteringConfig, kin: Kinematics) -> EventDensity:
-    """Event density by direct 4-D cubature of n(b) W(b,p) f(|Q-p|)^2, as
-    the sum of (n P_k)(b) (f^2 M_k)(p) over the W factors P_k, M_k.
+def _general4d(cfg: ScatteringConfig, qz: float, qx0: float, qy0: float) -> tuple[float, float]:
+    """(value, err_est) at Q = (qz, qx0, qy0) by direct 4-D cubature of
+    n(b) W(b,p) f(|Q-p|)^2, as the sum of (n P_k)(b) (f^2 M_k)(p) over the
+    W factors P_k, M_k.
 
     Works for every state variant, but needs a finite target (the wide
     limit is analytic, not pointwise).  The position box is the Wigner
@@ -350,11 +332,8 @@ def event_density_general(cfg: ScatteringConfig, kin: Kinematics) -> EventDensit
     """
     state, target = cfg.state, cfg.target
     if target.wide_limit:
-        raise ValueError("event_density_general requires a finite target")
+        raise ValueError("the general4d method requires a finite target")
     spec = cfg.quad or METHOD_SPECS[GENERAL_4D]
-    mt = momentum_transfer(kin)
-    qx0, qy0 = mt.qperp
-    qz = mt.qz
 
     b0x, b0y = target.b0
     st = target.sigma_t
@@ -382,75 +361,51 @@ def event_density_general(cfg: ScatteringConfig, kin: Kinematics) -> EventDensit
             f"general 4-D total {value:.3e} below -err_est {-err:.3e}; "
             "quadrature failure on a physically nonnegative quantity"
         )
-    return EventDensity(value, GENERAL_4D, err, _sigma_sq(state, target), False, cfg.n_e)
+    return value, err
 
 
 # ---------------------------------------------------------------------------
-# Dispatch, conversion, validity
+# The grid, its 1 x 1 views, conversion, validity
 # ---------------------------------------------------------------------------
-
-
-def _pointwise(method: str):
-    """The route that ``method`` runs point by point, or None for the
-    closed form; an unknown method is a ``ValueError``."""
-    if method not in METHOD_SPECS:
-        raise ValueError(f"unknown method {method!r}")
-    return {GENERAL_4D: event_density_general,
-            QUADRATURE_2D: event_density_cat_quadrature}.get(method)
-
-
-def event_density(cfg: ScatteringConfig, kin: Kinematics, method: str = "auto") -> EventDensity:
-    """d nu / d Omega at one kinematics, all methods with the hydrogen 1s
-    amplitude on the Gaussian target.  ``auto`` is the closed form, which
-    every beam has, checked against the 2-D and 4-D routes: the 1 x 1 case
-    of :func:`event_density_grid`."""
-    route = _pointwise(method)
-    if route is not None:
-        return route(cfg, kin)
-    ed = event_density_grid(cfg, kin, [kin.theta], [kin.phi])
-    return replace(ed, value=ed.value.item(), err_est=ed.err_est.item())
 
 
 def event_density_grid(cfg: ScatteringConfig, kin_base: Kinematics, thetas: Sequence[float],
                        phis: Sequence[float], method: str = "auto") -> EventDensity:
     """d nu / d Omega on the ``thetas`` x ``phis`` grid at the momenta p_i
     and p_f of ``kin_base`` (its angles are not used): one
-    :class:`EventDensity` of (len thetas, len phis) arrays.
+    :class:`EventDensity` of (len thetas, len phis) arrays, for every
+    method, with no :class:`Kinematics` or result per cell.
 
-    The closed form (``auto``) integrates the cells in row-major order, up
-    to 64 at a time, as one vector-valued integral on a shared panel set,
-    with no :class:`Kinematics` or result per cell: one weight row per
-    theta (per cell for the anisotropic beam), plus one fringe row per cell
-    of a cat, each row meeting the tolerance on its own.  The cap of 64
-    bounds cost, not memory: every row of a batch runs on the panels its
-    fastest row needs.  A cell's value thus depends on its grid within its
-    err_est, and is deterministic for a given grid.  The 2-D and 4-D
-    methods run cell by cell.
+    The 2-D and 4-D methods run cell by cell.  The closed form (``auto``)
+    integrates the cells in row-major order, up to 64 at a time, as one
+    vector-valued integral on a shared panel set: one weight row per theta
+    (per cell for the anisotropic beam), plus one fringe row per cell of a
+    cat, each row meeting the tolerance on its own.  The cap of 64 bounds
+    cost, not memory: every row of a batch runs on the panels its fastest
+    row needs.  A cell's value thus depends on its grid within its err_est,
+    and is deterministic for a given grid.
     """
-    route = _pointwise(method)
+    if method not in METHOD_SPECS:
+        raise ValueError(f"unknown method {method!r}")
     th, ph = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
-    if not (all(0.0 <= t <= math.pi for t in th.tolist()) and all(map(math.isfinite, ph.tolist()))):
-        raise ValueError("thetas must lie in [0, pi] and phis must be finite")
-    if not kin_base.is_elastic:  # as a Kinematics per cell would
+    if not (th.ndim == ph.ndim == 1 and all(0.0 <= t <= math.pi for t in th.tolist())
+            and all(map(math.isfinite, ph.tolist()))):
+        raise ValueError("thetas must lie in [0, pi] and phis must be finite, each a 1-D sequence")
+    if not kin_base.is_elastic:  # once per call, not per cell
         warnings.warn(f"inelastic kinematics: p_f={kin_base.p_f} differs from "
                       f"p_i={kin_base.p_i}", stacklevel=2)
+    method, state, target = CLOSED_FORM if method == "auto" else method, cfg.state, cfg.target
     p_i, p_f, n_ph, n = kin_base.p_i, kin_base.p_f, len(ph), len(th) * len(ph)
-    if route is not None:
-        eds = [route(cfg, Kinematics(p_i, p_f, t, f)) for t in th.tolist() for f in ph.tolist()]
-        value, err = np.array([(ed.value, ed.err_est) for ed in eds]).reshape(n, 2).T
+    # (Qz, Q_x, Q_y) per cell; the closed form of a round beam takes one
+    # weight row per theta instead, as (Qz, |Qperp|, 0) at the first azimuth.
+    lab = method != CLOSED_FORM or state.variant == ANISOTROPIC
+    q = [transfer_components(p_i, p_f, t, f)
+         for t in th.tolist() for f in (ph if lab else ph[:1]).tolist()]
+    if method != CLOSED_FORM:
+        kernel = _general4d if method == GENERAL_4D else _quadrature2d
+        value, err = np.array([kernel(cfg, *qc) for qc in q]).reshape(n, 2).T
     else:
-        method, lab = CLOSED_FORM, cfg.state.variant == ANISOTROPIC
-        # Weight rows (Qz, Q_x, Q_y) as momentum_transfer gives them: per
-        # cell for the anisotropic beam, else per theta as (Qz, |Qperp|, 0),
-        # its magnitude taken at the first azimuth.
-        qz = [p_f * math.cos(t) - p_i for t in th.tolist()]
-        qp = [p_f * math.sin(t) for t in th.tolist()]
-        if lab:
-            turns = [(math.cos(f), math.sin(f)) for f in ph.tolist()]
-            q_w = np.array([(z, q * c, q * s) for z, q in zip(qz, qp) for c, s in turns])
-        elif n:
-            c, s = math.cos(ph[0]), math.sin(ph[0])
-            q_w = np.array([(z, math.hypot(q * c, q * s), 0.0) for z, q in zip(qz, qp)])
+        q_w = np.array(q if lab else [(z, math.hypot(x, y), 0.0) for z, x, y in q])
         value, err = np.empty(n), np.empty(n)
         for i in range(0, n, _BATCH_KINEMATICS):  # each batch on its slice of weight rows
             j = min(i + _BATCH_KINEMATICS, n)
@@ -459,8 +414,38 @@ def event_density_grid(cfg: ScatteringConfig, kin_base: Kinematics, thetas: Sequ
             lo = int(rows[0])
             value[i:j], err[i:j] = _closed_form(cfg, q_w[lo:int(rows[-1]) + 1], rows - lo,
                                                 ph[cells % n_ph])
+    sigma_sq = (None if target.wide_limit or state.variant == ANISOTROPIC
+                else target.sigma_t ** 2 + state.sigma_perp ** 2)
     return EventDensity(value.reshape(len(th), n_ph), method, err.reshape(len(th), n_ph),
-                        _sigma_sq(cfg.state, cfg.target), cfg.target.wide_limit, cfg.n_e)
+                        sigma_sq, target.wide_limit, cfg.n_e)
+
+
+def event_density(cfg: ScatteringConfig, kin: Kinematics, method: str = "auto") -> EventDensity:
+    """d nu / d Omega at one kinematics, all methods with the hydrogen 1s
+    amplitude on the Gaussian target: the 1 x 1 case of
+    :func:`event_density_grid`.  ``auto`` is the closed form, which every
+    beam has, checked against the 2-D and 4-D routes."""
+    ed = event_density_grid(cfg, kin, [kin.theta], [kin.phi], method)
+    return replace(ed, value=ed.value.item(), err_est=ed.err_est.item())
+
+
+def event_density_cat_closed(cfg: ScatteringConfig, kin: Kinematics) -> EventDensity:
+    """:func:`event_density` by the 1-D closed form (see the module docstring)."""
+    return event_density(cfg, kin, CLOSED_FORM)
+
+
+def event_density_cat_quadrature(cfg: ScatteringConfig, kin: Kinematics) -> EventDensity:
+    """:func:`event_density` by the 2-D momentum quadrature (:func:`_quadrature2d`)."""
+    return event_density(cfg, kin, QUADRATURE_2D)
+
+
+# A second name of the same function, kept while the benchmark harness calls it.
+event_density_gaussian = event_density_cat_quadrature
+
+
+def event_density_general(cfg: ScatteringConfig, kin: Kinematics) -> EventDensity:
+    """:func:`event_density` by the 4-D cubature (:func:`_general4d`)."""
+    return event_density(cfg, kin, GENERAL_4D)
 
 
 def cross_section(ed: EventDensity) -> float | np.ndarray:

@@ -41,6 +41,7 @@ and every scan grid of W (negativity scans, the CLI export) from :func:`wigner_g
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -379,6 +380,8 @@ def wigner_grid(state: BeamState, n: int, mode: str) -> tuple[np.ndarray, ...]:
     ``[x, y, p_x, p_y]``.  W runs on the open mesh of the axes (see
     :func:`wigner_values`); the coordinates are read-only broadcast views.
     """
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"grid points per axis must be an integer, got {n!r}")
     if mode == "slice":
         r0 = state.r0 if state.variant in _TWO_PACKET else 0.0
         u_box, _, p_box, _ = phase_space_box(state.widths, (r0, 0.0), 4.0, 4.0)

@@ -39,6 +39,7 @@ __all__ = [
     "Kinematics",
     "MomentumTransfer",
     "momentum_transfer",
+    "transfer_components",
     "hydrogen_amplitude",
     "target_density",
 ]
@@ -122,11 +123,16 @@ class MomentumTransfer:
         return math.sqrt(self.qz ** 2 + self.qperp[0] ** 2 + self.qperp[1] ** 2)
 
 
+def transfer_components(p_i: float, p_f: float, theta: float, phi: float) -> tuple[float, ...]:
+    """(Qz, Q_x, Q_y) at these momenta and angles, unchecked; the formula's one copy."""
+    qp = p_f * math.sin(theta)
+    return p_f * math.cos(theta) - p_i, qp * math.cos(phi), qp * math.sin(phi)
+
+
 def momentum_transfer(kin: Kinematics) -> MomentumTransfer:
     """Momentum transfer of the scattering event: final minus mean incident."""
-    qz = kin.p_f * math.cos(kin.theta) - kin.p_i
-    qp = kin.p_f * math.sin(kin.theta)
-    return MomentumTransfer(qz=qz, qperp=(qp * math.cos(kin.phi), qp * math.sin(kin.phi)))
+    qz, qx, qy = transfer_components(kin.p_i, kin.p_f, kin.theta, kin.phi)
+    return MomentumTransfer(qz=qz, qperp=(qx, qy))
 
 
 def hydrogen_amplitude(q):

@@ -224,6 +224,13 @@ def test_closed_form_scan_builds_no_per_azimuth_objects(construction_counts, sta
     assert len(azimuthal_asymmetry(spec).phi_scan) == 64
     # One integral and one grid result; the spec's own kinematics is all there is.
     assert construction_counts == {"integrate_1d": 1, "Kinematics": 1, "EventDensity": 1}
+    # The 2-D and 4-D grids build one result and nothing per cell either.
+    for method in ("quadrature2d", "general4d"):
+        for key in construction_counts:
+            construction_counts[key] = 0
+        ed = event_density_grid(cfg, spec.kin_base, [spec.kin_base.theta], [0.0, 1.0], method)
+        assert ed.value.shape == (1, 2)
+        assert construction_counts == {"integrate_1d": 0, "Kinematics": 0, "EventDensity": 1}
 
 
 @pytest.mark.parametrize("state", [FIVE_BEAMS[0], FIVE_BEAMS[2]], ids=lambda s: s.variant)
@@ -300,6 +307,23 @@ def test_sweep_rejects_bad_axis_and_empty_values():
 def test_an_unknown_method_is_rejected_when_the_spec_is_built():
     with pytest.raises(ValueError, match="unknown method 'nope'"):
         spec_for(BeamState.gaussian(2.0), method="nope")
+
+
+def test_a_fractional_phi_grid_is_rejected_when_the_spec_is_built():
+    for n in (8.5, 64.0):
+        with pytest.raises(ValueError, match="phi_grid_n must be an integer"):
+            spec_for(BeamState.gaussian(2.0), phi_grid_n=n)
+    assert spec_for(BeamState.gaussian(2.0), phi_grid_n=np.int64(8)).phi_grid_n == 8
+
+
+def test_an_anisotropic_sigma_perp_sweep_is_rejected():
+    # The anisotropic beam never reads sigma_perp, so every row would be the same.
+    spec = spec_for(BeamState.anisotropic(1.0, 2.0))
+    with pytest.raises(ValueError, match="sigma_x and sigma_y"):
+        sweep(spec, "sigma_perp", [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="nonempty"):
+        sweep(spec, "sigma_perp", [])
+    assert [r.error for r in sweep(spec, "theta", [0.1, 0.2])] == [None, None]
 
 
 # -- oscillation detection --------------------------------------------------------

@@ -351,6 +351,28 @@ def test_sidecar_choice_fields_are_checked(sub, field, bad, tmp_path):
     assert err.startswith(f"input error: {named}: invalid choice {bad!r}")
 
 
+# A count read back from a sidecar is an integer: a fractional one would
+# scan its floor or raise a TypeError deep inside the run.
+@pytest.mark.parametrize("sub,field", [("scatter", "phi_grid"), ("asymmetry", "phi_grid"),
+                                       ("wigner", "grid")])
+def test_sidecar_fractional_counts_exit_one(sub, field, tmp_path):
+    data = json.loads(RunConfig(subcommand=sub).to_json())
+    data[field] = 16.5
+    sidecar = tmp_path / "bad.config.json"
+    sidecar.write_text(json.dumps(data))
+    flag = {"phi_grid": "--phi-grid", "grid": "--grid"}[field]
+    assert run_cli("--config", str(sidecar)) == (
+        1, "", f"input error: {flag} must be an integer >= 1, got 16.5\n")
+
+
+def test_an_anisotropic_sigma_perp_sweep_exits_one():
+    code, out, err = run_cli("sweep", "--state", "aniso", "--sigma-x", "1", "--sigma-y", "2",
+                             "--wide", "--axis", "sigma-perp", "--values", "1,2,3",
+                             "--phi-grid", "8")
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: ValueError:") and "sigma_x and sigma_y" in err
+
+
 @pytest.mark.parametrize("field", ["axis", "values"])
 def test_sweep_sidecar_without_axis_or_values_exits_one(field, tmp_path):
     data = json.loads(RunConfig(subcommand="sweep", axis="r0", values=[1.0]).to_json())

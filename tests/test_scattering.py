@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -349,6 +350,36 @@ def test_a_grid_rejects_angles_outside_their_range():
                          ([0.1], [math.inf])):
         with pytest.raises(ValueError, match="thetas must lie in"):
             event_density_grid(cfg, kin, thetas, phis)
+    # Each axis is a 1-D sequence: no scalar, no nested list.
+    for thetas, phis in ((0.1, [0.0]), ([0.1], 0.0), ([[0.1, 0.2]], [0.0]),
+                         ([0.1], [[0.0], [1.0]])):
+        with pytest.raises(ValueError, match="1-D sequence"):
+            event_density_grid(cfg, kin, thetas, phis)
+
+
+@pytest.mark.parametrize("method,target", [("auto", WIDE), ("quadrature2d", WIDE),
+                                           ("general4d", TargetProfile.gaussian(20.0))])
+def test_a_grid_warns_on_inelastic_momenta_once_per_call(method, target):
+    with pytest.warns(UserWarning, match="inelastic"):
+        kin = Kinematics(10.0, 10.5, 0.1)
+    cfg = ScatteringConfig(BeamState.gaussian(2.0), target)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        event_density_grid(cfg, kin, [0.1], [0.0, 1.0, 2.0], method)
+    assert ["inelastic" in str(w.message) for w in caught] == [True]
+
+
+def test_each_route_name_is_a_view_of_event_density():
+    cfg = ScatteringConfig(BeamState.even_cat(2.0, 3.0, phi_r0=0.3),
+                           TargetProfile.gaussian(20.0, (3.0, -2.0)))
+    kin = Kinematics.elastic(10.0, 10.0 * DEG, 0.7)
+    for route, method in ((event_density_cat_closed, "closed_form"),
+                          (event_density_cat_quadrature, "quadrature2d"),
+                          (event_density_gaussian, "quadrature2d"),
+                          (event_density_general, "general4d")):
+        ed, one = route(cfg, kin), event_density(cfg, kin, method)
+        assert ed == one and ed.method == method
+        assert (ed.value.hex(), ed.err_est.hex()) == (one.value.hex(), one.err_est.hex())
 
 
 # -- closed form --------------------------------------------------------------

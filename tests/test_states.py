@@ -405,6 +405,11 @@ def test_factors_gathered_to_the_4d_nodes_equal_wigner_values(state):
 def test_scan_box_coverage_enforced():
     with pytest.raises(ValueError):
         negativity_scan(BeamState.gaussian(2.0), grid_n=8)
+    # A fractional count would scan its ceiling and report the fraction.
+    with pytest.raises(ValueError, match="integer"):
+        negativity_scan(BeamState.gaussian(2.0), grid_n=16.5)
+    with pytest.raises(ValueError, match="integer"):
+        wigner_grid(BeamState.gaussian(2.0), 16.0, "full")
 
 
 def test_phase_space_grid_contains_zero():
