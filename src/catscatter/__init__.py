@@ -53,10 +53,8 @@ from .states import (
 )
 from .targets import (
     Kinematics,
-    MomentumTransfer,
     TargetProfile,
     hydrogen_amplitude,
-    momentum_transfer,
     target_density,
 )
 from .scattering import (

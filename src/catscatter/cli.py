@@ -18,11 +18,10 @@ import argparse
 import functools
 import json
 import math
-import numbers
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -133,6 +132,26 @@ def _flag(flag: str, subs: tuple[str, ...], default=None, **kw):
     return field(default=default, metadata=meta)
 
 
+def _is_number(v) -> bool:  # what JSON reads as a number
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _expected(meta) -> tuple[str, Callable[[object], bool]]:
+    """(what, test) for the value of a flag without choices, by its declaration:
+    a switch, a count, a path, a number, or else the list its parser builds."""
+    kind = meta.get("type")
+    if "action" in meta:
+        return "true or false", lambda v: isinstance(v, bool)
+    if kind is int:
+        return "an integer >= 1", lambda v: _is_number(v) and isinstance(v, int) and v >= 1
+    if kind is str:
+        return "a string", lambda v: isinstance(v, str)
+    if kind is float:
+        return "a number", _is_number
+    return "a nonempty list of numbers", lambda v: (
+        isinstance(v, list) and bool(v) and all(map(_is_number, v)))
+
+
 @dataclass
 class RunConfig:
     """Fully resolved run description; the sidecar serializes this.
@@ -180,19 +199,23 @@ class RunConfig:
     version: str = __version__
 
     def __post_init__(self) -> None:
-        for f in fields(self):  # a choice field may also keep its default (axis None)
-            choices, value = f.metadata.get("choices"), getattr(self, f.name)
-            if choices and value not in choices and value != f.default:
-                raise _InputError(f"{f.metadata.get('flag', f.name)}: invalid choice {value!r} "
-                                  f"(choose from {', '.join(choices)})")
+        for f in fields(self):
+            meta, value = f.metadata, getattr(self, f.name)
+            if value is None and f.default is None:  # an optional flag left unset
+                continue
+            if "choices" in meta:
+                if value not in meta["choices"]:
+                    raise _InputError(f"{meta.get('flag', f.name)}: invalid choice {value!r} "
+                                      f"(choose from {', '.join(meta['choices'])})")
+            elif "flag" in meta:
+                what, holds = _expected(meta)
+                if not holds(value):
+                    raise _InputError(f"{meta['flag']} must be {what}, got {value!r}")
         self.wide = self.wide or self.sigma_t is None
         if self.grid is None:
             self.grid = WIGNER_GRID_N[self.mode]
         if self.tol is not None and not self.tol > 0:
             raise _InputError(f"--tol must be > 0, got {self.tol!r}")
-        for flag, n in (("--phi-grid", self.phi_grid), ("--grid", self.grid)):
-            if not isinstance(n, numbers.Integral) or n < 1:
-                raise _InputError(f"{flag} must be an integer >= 1, got {n!r}")
         if self.subcommand in ("asymmetry", "sweep") and len(self.theta_deg) > 1:
             raise _InputError(f"{self.subcommand} takes one --theta, got {len(self.theta_deg)}")
         if self.r0_ratio is not None and self.axis != "sigma-perp":

@@ -67,6 +67,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -136,8 +137,8 @@ class ScatteringConfig:
     quad: QuadratureSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.n_e < 1:
-            raise ValueError("n_e must be >= 1")
+        if not isinstance(self.n_e, numbers.Integral) or self.n_e < 1:
+            raise ValueError(f"n_e must be an integer >= 1, got {self.n_e!r}")
 
 
 @dataclass(frozen=True)

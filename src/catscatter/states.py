@@ -227,14 +227,15 @@ class BeamState:
 
 
 def kinetic_energy_keV(p: float) -> float:
-    """Nonrelativistic kinetic energy of momentum ``p`` [1/a], in keV."""
+    """Non-relativistic kinetic energy p^2 / 2 of momentum ``p`` [1/a], in keV."""
     if p <= 0:
         raise ValueError("p must be > 0")
     return 0.5 * p * p * HARTREE_EV / 1000.0
 
 
 def momentum_from_keV(energy_keV: float) -> float:
-    """Inverse of :func:`kinetic_energy_keV`."""
+    """Inverse of :func:`kinetic_energy_keV`, non-relativistic: 85.7 a.u. at 100 keV
+    against the relativistic 89.8 (5 % low), 121.2 against 132.6 at 200 keV (9 % low)."""
     if energy_keV <= 0:
         raise ValueError("energy must be > 0")
     return math.sqrt(2.0 * energy_keV * 1000.0 / HARTREE_EV)

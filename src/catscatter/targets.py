@@ -9,8 +9,10 @@ the scattering formulas take the limit exactly, reporting effective cross
 sections instead of event densities.
 
 Kinematics are elastic by convention (``p_f = p_i``); the fields stay
-independent because the momentum-transfer definitions permit it, but a
-constructor warning flags inelastic inputs.  The momentum transfer is
+independent because the momentum-transfer definitions permit it.
+Construction does not warn: ``scattering.event_density_grid``, the one
+way into the event densities, warns once per call on inelastic momenta.
+The momentum transfer (:func:`transfer_components`) is
 ``Qz = p_f cos(theta) - p_i`` with the transverse part
 ``Qperp = p_f sin(theta) (cos(phi), sin(phi))``.
 
@@ -27,7 +29,7 @@ of potential radius to beam width is the inverse width itself.
 from __future__ import annotations
 
 import math
-import warnings
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +39,6 @@ from .errors import WideLimitHasNoDensity
 __all__ = [
     "TargetProfile",
     "Kinematics",
-    "MomentumTransfer",
-    "momentum_transfer",
     "transfer_components",
     "hydrogen_amplitude",
     "target_density",
@@ -54,8 +54,9 @@ class TargetProfile:
     wide_limit: bool = False
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in self.b0):
-            raise ValueError(f"target offset b0 must be finite, got {self.b0}")
+        if np.shape(self.b0) != (2,) or not all(
+                isinstance(v, numbers.Real) and math.isfinite(v) for v in self.b0):
+            raise ValueError(f"target offset b0 must be two finite numbers, got {self.b0}")
         if self.sigma_t is not None and not math.isfinite(self.sigma_t):
             raise ValueError(f"sigma_t must be finite, got {self.sigma_t}")
         if self.wide_limit:
@@ -89,11 +90,6 @@ class Kinematics:
             raise ValueError("momenta must be > 0")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError("theta must lie in [0, pi]")
-        if not self.is_elastic:
-            warnings.warn(
-                f"inelastic kinematics: p_f={self.p_f} differs from p_i={self.p_i}",
-                stacklevel=3,
-            )
 
     @property
     def is_elastic(self) -> bool:  # p_f = p_i to 1e-9 relative
@@ -107,32 +103,10 @@ class Kinematics:
         return Kinematics(self.p_i, self.p_f, self.theta, phi)
 
 
-@dataclass(frozen=True)
-class MomentumTransfer:
-    """3-D momentum transfer, split into its longitudinal and transverse parts."""
-
-    qz: float
-    qperp: tuple[float, float]
-
-    @property
-    def qperp_mag(self) -> float:
-        return math.hypot(*self.qperp)
-
-    @property
-    def magnitude(self) -> float:
-        return math.sqrt(self.qz ** 2 + self.qperp[0] ** 2 + self.qperp[1] ** 2)
-
-
 def transfer_components(p_i: float, p_f: float, theta: float, phi: float) -> tuple[float, ...]:
     """(Qz, Q_x, Q_y) at these momenta and angles, unchecked; the formula's one copy."""
     qp = p_f * math.sin(theta)
     return p_f * math.cos(theta) - p_i, qp * math.cos(phi), qp * math.sin(phi)
-
-
-def momentum_transfer(kin: Kinematics) -> MomentumTransfer:
-    """Momentum transfer of the scattering event: final minus mean incident."""
-    qz, qx, qy = transfer_components(kin.p_i, kin.p_f, kin.theta, kin.phi)
-    return MomentumTransfer(qz=qz, qperp=(qx, qy))
 
 
 def hydrogen_amplitude(q):

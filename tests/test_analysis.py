@@ -284,8 +284,7 @@ def test_sweep_workers_preserve_order():
 
 
 def test_p_i_sweep_rejects_inelastic_kinematics():
-    with pytest.warns(UserWarning, match="inelastic"):
-        kin = Kinematics(10.0, 12.0, 8.0 * DEG)
+    kin = Kinematics(10.0, 12.0, 8.0 * DEG)
     spec = replace(spec_for(BeamState.even_cat(2.0, 3.0)), kin_base=kin)
     with pytest.raises(ValueError, match="p_i sweep"):
         sweep(spec, "p_i", [10.0, 20.0])

@@ -5,9 +5,11 @@
 from the library, or a keyword dropped from a signature the benchmark
 calls, would only surface in a benchmark run, so these tests read both
 files (without changing them) and check every such name and call against
-the library.  The last one runs a pass of the CLI workload and its checks,
-so a flag that the workload passes and a subcommand does not take fails
-here too.
+the library.  The AST checks cannot follow a call on an instance
+(``kin.with_phi``, ``state.with_r0``) or the positional field order of a
+constructor, so the last test runs one pass of every workload through the
+harness's run, collect and verify steps: such a call, or a flag that a
+workload passes and a subcommand does not take, fails here too.
 """
 
 import ast
@@ -16,6 +18,8 @@ import importlib.util
 import inspect
 import pathlib
 import sys
+
+import pytest
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 MODULES = ("analysis", "cli", "errors", "quadrature", "scattering", "states", "targets")
@@ -143,13 +147,14 @@ def test_workload_calls_bind_to_the_library_signatures():
             "AsymmetrySpec(phi_grid_n=)"} <= bound
 
 
-def test_a_cli_roundtrip_pass_passes_every_check(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workload", _constant(_tree("workloads.py"), "WORKLOADS"))
+def test_a_pass_of_each_workload_passes_every_check(workload, tmp_path, monkeypatch):
     spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
     wl = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "workloads", wl)
     spec.loader.exec_module(wl)
-    jobs, _ = wl.build("cli_roundtrip", 771, str(tmp_path))
-    outs = [job.collect(job.run()) for job in jobs]
+    jobs, _ = wl.build(workload, 771, str(tmp_path))
+    outs = [job.collect(job.run()) if job.collect else job.run() for job in jobs]
     for i, (job, out) in enumerate(zip(jobs, outs)):
         verdict = wl.Verdict()
         job.verify(out, verdict, outs)

@@ -352,17 +352,69 @@ def test_sidecar_choice_fields_are_checked(sub, field, bad, tmp_path):
 
 
 # A count read back from a sidecar is an integer: a fractional one would
-# scan its floor or raise a TypeError deep inside the run.
+# scan its floor, raise a TypeError deep inside the run, or scale dnu.
 @pytest.mark.parametrize("sub,field", [("scatter", "phi_grid"), ("asymmetry", "phi_grid"),
-                                       ("wigner", "grid")])
+                                       ("wigner", "grid"), ("scatter", "ne")])
 def test_sidecar_fractional_counts_exit_one(sub, field, tmp_path):
+    flag, bad = {"phi_grid": ("--phi-grid", 16.5), "grid": ("--grid", 16.5),
+                 "ne": ("--ne", 2.5)}[field]
     data = json.loads(RunConfig(subcommand=sub).to_json())
-    data[field] = 16.5
+    data[field] = bad
     sidecar = tmp_path / "bad.config.json"
     sidecar.write_text(json.dumps(data))
-    flag = {"phi_grid": "--phi-grid", "grid": "--grid"}[field]
     assert run_cli("--config", str(sidecar)) == (
-        1, "", f"input error: {flag} must be an integer >= 1, got 16.5\n")
+        1, "", f"input error: {flag} must be an integer >= 1, got {bad}\n")
+
+
+# A sidecar field of the wrong kind: each flag's kind comes from its
+# declaration, and integers stay valid numbers.
+@pytest.mark.parametrize("sub,field,bad,message", [
+    ("scatter", "ne", "2", "--ne must be an integer >= 1, got '2'"),
+    ("scatter", "ne", True, "--ne must be an integer >= 1, got True"),
+    ("scatter", "b0x", "3", "--b0x must be a number, got '3'"),
+    ("asymmetry", "sigma_perp", "2", "--sigma-perp must be a number, got '2'"),
+    ("scatter", "p_i", None, "--pi must be a number, got None"),
+    ("scatter", "theta_deg", 10, "--theta must be a nonempty list of numbers, got 10"),
+    ("scatter", "theta_deg", [], "--theta must be a nonempty list of numbers, got []"),
+    ("scatter", "phi_deg", ["0"], "--phi must be a nonempty list of numbers, got ['0']"),
+    ("sweep", "values", 3, "--values must be a nonempty list of numbers, got 3"),
+    ("scatter", "wide", "no", "--wide must be true or false, got 'no'"),
+    ("scatter", "out", 3, "--out must be a string, got 3"),
+])
+def test_sidecar_fields_of_the_wrong_kind_exit_one(sub, field, bad, message, tmp_path):
+    extra = dict(axis="r0", values=[1.0, 2.0]) if sub == "sweep" else {}
+    data = json.loads(RunConfig(subcommand=sub, **extra).to_json())
+    data[field] = bad
+    sidecar = tmp_path / "bad.config.json"
+    sidecar.write_text(json.dumps(data))
+    assert run_cli("--config", str(sidecar)) == (1, "", f"input error: {message}\n")
+
+
+def test_sidecar_integers_are_valid_numbers(tmp_path):
+    data = json.loads(RunConfig(subcommand="scatter").to_json())
+    data.update(p_i=10, theta_deg=[10], sigma_perp=2)
+    sidecar = tmp_path / "ints.config.json"
+    sidecar.write_text(json.dumps(data))
+    assert run_cli("--config", str(sidecar)) == run_cli("scatter")
+
+
+# The inelastic warning has one site, the grid: each run writes it once.
+@pytest.mark.parametrize("argv", [
+    ["scatter", "--theta", "5", "--phi-grid", "4"],
+    ["asymmetry", "--state", "even-cat", "--r0", "3", "--phi-grid", "8"],
+    ["sweep", "--axis", "r0", "--values", "2,3", "--state", "even-cat", "--phi-grid", "8"],
+    ["sweep", "--axis", "theta", "--values", "5,10", "--state", "even-cat", "--r0", "3",
+     "--phi-grid", "8"],
+])
+def test_inelastic_runs_warn_once(argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    r = subprocess.run([sys.executable, "-m", "catscatter", *argv, "--wide", "--pf", "10.5"],
+                       capture_output=True, env=env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    lines = r.stderr.decode().splitlines()
+    assert sum("inelastic kinematics" in line for line in lines) == 1, lines
 
 
 def test_an_anisotropic_sigma_perp_sweep_exits_one():

@@ -331,6 +331,12 @@ def test_batched_route_loops_for_other_methods():
         event_density_grid(cfg, Kinematics.elastic(10.0, 0.1), [0.1], [0.0], method="nope")
 
 
+@pytest.mark.parametrize("n_e", [2.5, math.nan, 0, -1, "2", None])
+def test_electron_count_is_an_integer_at_least_one(n_e):
+    with pytest.raises(ValueError, match="n_e must be an integer >= 1"):
+        ScatteringConfig(BeamState.gaussian(2.0), WIDE, n_e=n_e)
+
+
 @pytest.mark.parametrize("target", [WIDE, TargetProfile.gaussian(20.0, (1.0, -2.0))])
 def test_cross_section_of_a_grid_is_the_per_point_values(target):
     # Converting the grid converts each cell as a one-point result would.
@@ -360,11 +366,10 @@ def test_a_grid_rejects_angles_outside_their_range():
 @pytest.mark.parametrize("method,target", [("auto", WIDE), ("quadrature2d", WIDE),
                                            ("general4d", TargetProfile.gaussian(20.0))])
 def test_a_grid_warns_on_inelastic_momenta_once_per_call(method, target):
-    with pytest.warns(UserWarning, match="inelastic"):
-        kin = Kinematics(10.0, 10.5, 0.1)
     cfg = ScatteringConfig(BeamState.gaussian(2.0), target)
-    with warnings.catch_warnings(record=True) as caught:
+    with warnings.catch_warnings(record=True) as caught:  # construction is silent
         warnings.simplefilter("always")
+        kin = Kinematics(10.0, 10.5, 0.1)
         event_density_grid(cfg, kin, [0.1], [0.0, 1.0, 2.0], method)
     assert ["inelastic" in str(w.message) for w in caught] == [True]
 

@@ -1,16 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from catscatter.errors import WideLimitHasNoDensity
 from catscatter.quadrature import Interval, QuadratureSpec, integrate_nd
+from catscatter.scattering import ScatteringConfig, event_density
+from catscatter.states import BeamState
 from catscatter.targets import (
     Kinematics,
     TargetProfile,
     hydrogen_amplitude,
-    momentum_transfer,
     target_density,
+    transfer_components,
 )
 
 DEG = math.pi / 180.0
@@ -19,25 +22,30 @@ DEG = math.pi / 180.0
 # -- momentum transfer -------------------------------------------------------
 
 
+def transfer(kin):
+    """(Qz, Q_x, Q_y) of a kinematics."""
+    return transfer_components(kin.p_i, kin.p_f, kin.theta, kin.phi)
+
+
 def test_forward_elastic_limit():
-    mt = momentum_transfer(Kinematics.elastic(10.0, 0.0))
-    assert mt.qz == 0.0
-    assert mt.qperp == (0.0, 0.0)
+    qz, qx, qy = transfer(Kinematics.elastic(10.0, 0.0))
+    assert qz == 0.0
+    assert (qx, qy) == (0.0, 0.0)
 
 
 def test_ten_degree_transfer():
-    mt = momentum_transfer(Kinematics.elastic(10.0, 10.0 * DEG, 0.0))
-    assert mt.qz == pytest.approx(10.0 * (math.cos(10.0 * DEG) - 1.0), rel=1e-15)
-    assert mt.qz == pytest.approx(-0.151922, abs=1e-6)
-    assert mt.qperp[0] == pytest.approx(1.736482, abs=1e-6)
-    assert mt.qperp[1] == 0.0
+    qz, qx, qy = transfer(Kinematics.elastic(10.0, 10.0 * DEG, 0.0))
+    assert qz == pytest.approx(10.0 * (math.cos(10.0 * DEG) - 1.0), rel=1e-15)
+    assert qz == pytest.approx(-0.151922, abs=1e-6)
+    assert qx == pytest.approx(1.736482, abs=1e-6)
+    assert qy == 0.0
 
 
 def test_backscattering():
     p = 7.0
-    mt = momentum_transfer(Kinematics.elastic(p, math.pi))
-    assert mt.qz == pytest.approx(-2.0 * p, rel=1e-15)
-    assert abs(mt.qperp_mag) <= 1e-14 * p
+    qz, qx, qy = transfer(Kinematics.elastic(p, math.pi))
+    assert qz == pytest.approx(-2.0 * p, rel=1e-15)
+    assert abs(math.hypot(qx, qy)) <= 1e-14 * p
 
 
 def test_law_of_cosines():
@@ -46,23 +54,28 @@ def test_law_of_cosines():
         p = rng.uniform(1.0, 40.0)
         th = rng.uniform(0.0, math.pi)
         ph = rng.uniform(0.0, 2.0 * math.pi)
-        mt = momentum_transfer(Kinematics.elastic(p, th, ph))
-        lhs = mt.magnitude ** 2
+        qz, qx, qy = transfer(Kinematics.elastic(p, th, ph))
+        lhs = math.sqrt(qz ** 2 + qx ** 2 + qy ** 2) ** 2
         rhs = 2.0 * p * p * (1.0 - math.cos(th))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def test_qperp_magnitude_independent_of_phi():
-    k1 = momentum_transfer(Kinematics.elastic(10.0, 0.3, 0.2))
-    k2 = momentum_transfer(Kinematics.elastic(10.0, 0.3, 0.2 + 2.0 * math.pi))
-    assert k1.qperp_mag == pytest.approx(k2.qperp_mag, rel=1e-15)
-    k3 = momentum_transfer(Kinematics.elastic(10.0, 0.3, 4.4))
-    assert k3.qperp_mag == pytest.approx(k1.qperp_mag, rel=1e-12)
+    k1 = math.hypot(*transfer(Kinematics.elastic(10.0, 0.3, 0.2))[1:])
+    k2 = math.hypot(*transfer(Kinematics.elastic(10.0, 0.3, 0.2 + 2.0 * math.pi))[1:])
+    assert k1 == pytest.approx(k2, rel=1e-15)
+    k3 = math.hypot(*transfer(Kinematics.elastic(10.0, 0.3, 4.4))[1:])
+    assert k3 == pytest.approx(k1, rel=1e-12)
 
 
 def test_inelastic_warning():
-    with pytest.warns(UserWarning, match="inelastic"):
-        Kinematics(10.0, 11.0, 0.1)
+    # Construction is silent; the event density warns, once.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kin = Kinematics(10.0, 10.5, 0.1)
+        assert caught == [] and not kin.is_elastic
+        event_density(ScatteringConfig(BeamState.gaussian(2.0), TargetProfile.wide()), kin)
+    assert ["inelastic kinematics" in str(w.message) for w in caught] == [True]
 
 
 # -- hydrogen amplitude ------------------------------------------------------
@@ -156,6 +169,11 @@ def test_target_validation():
     lambda: Kinematics.elastic(10.0, math.nan),
     lambda: Kinematics.elastic(10.0, 0.1, math.inf),
     lambda: Kinematics.elastic(10.0, 0.1).with_phi(math.nan),
+    # b0 is two finite numbers, not three, one, a scalar or a string.
+    lambda: TargetProfile.gaussian(20.0, (1.0, 2.0, 3.0)),
+    lambda: TargetProfile.gaussian(20.0, (1.0,)),
+    lambda: TargetProfile.gaussian(20.0, 3.0),
+    lambda: TargetProfile.gaussian(20.0, ("1", 2.0)),
 ])
 def test_target_and_kinematics_reject_non_finite_fields(make):
     with pytest.raises(ValueError, match="finite"):
