@@ -326,7 +326,7 @@ def _run_scatter(cfg: RunConfig):
     phis = cfg.phi_deg if cfg.phi_deg is not None else [
         360.0 * k / cfg.phi_grid for k in range(cfg.phi_grid)]
     th, ph = np.meshgrid(cfg.theta_deg, phis, indexing="ij")
-    ed = event_density_grid(_scattering_config(cfg), _kin(cfg, th[0, 0], ph[0, 0]),
+    ed = event_density_grid(_scattering_config(cfg), _kin(cfg, cfg.theta_deg[0], phis[0]),
                             th[:, 0] * DEG, ph[0] * DEG, method=_METHOD_BY_FLAG[cfg.method])
     nan = np.full(th.shape, math.nan)
     dnu = nan if ed.wide_limit else ed.value

@@ -10,12 +10,12 @@ where Q - p is the 3-vector (Qperp - p, Qz).  Every route uses the
 hydrogen 1s amplitude on the Gaussian target; three evaluation methods
 are provided, each also under a public route name:
 
-* ``general4d`` (``event_density_general``) -- honest 4-D cubature of the
-  formula above over truncated boxes (the brute-force oracle, any state,
-  finite targets only).  It integrates W itself, negative fringe included,
-  as the products P_k(b) M_k(p) of ``states.wigner_terms`` with n(b) on
-  each P_k and f^2 on each M_k, so every factor runs on the distinct
-  position or momentum projections of the Genz-Malik nodes (17 of 57) only;
+* ``general4d`` (``event_density_general``) -- the brute-force oracle, for
+  every beam and target: the formula above over truncated boxes, with W
+  itself, negative fringe included, written as the products P_k(b) M_k(p)
+  of ``states.wigner_terms``.  The 4-D integral is then the sum of the
+  products of two 2-D cubatures, of n(b) P_k over the position box and of
+  f^2 M_k over the momentum box, and n = 1 in the wide limit;
 * ``quadrature2d`` (``event_density_cat_quadrature``, also bound as
   ``event_density_gaussian``) -- the 2-D momentum route, for every beam
   and the check on the closed form: the target integral is done
@@ -81,7 +81,6 @@ from .quadrature import (
     DEFAULT_SPEC_4D,
     Interval,
     QuadratureSpec,
-    factored_integrand,
     integrate_1d,
     integrate_nd,
     oscillation_panels,
@@ -321,42 +320,57 @@ def _closed_form(cfg: ScatteringConfig, q_w: np.ndarray, row_of: np.ndarray,
 
 
 def _general4d(cfg: ScatteringConfig, qz: float, qx0: float, qy0: float) -> tuple[float, float]:
-    """(value, err_est) at Q = (qz, qx0, qy0) by direct 4-D cubature of
-    n(b) W(b,p) f(|Q-p|)^2, as the sum of (n P_k)(b) (f^2 M_k)(p) over the
-    W factors P_k, M_k.
+    """(value, err_est) at Q = (qz, qx0, qy0) of the brute-force oracle
+    int d2b d2p n(b) W(b, p) f(|Q - p|)^2, for every beam and target.  With
+    W = sum_k P_k(b) M_k(p) from ``states.wigner_terms`` it is sum_k A_k B_k,
+    A_k = int n P_k d2b and B_k = int f^2 M_k d2p: one batched 2-D cubature
+    per side, with error sum_k |A_k| E_Bk + |B_k| E_Ak + E_Ak E_Bk.
 
-    Works for every state variant, but needs a finite target (the wide
-    limit is analytic, not pointwise).  The position box is the Wigner
-    support (six widths around the packet centers) clipped against the
-    target support; the momentum box is four inverse widths with
-    fringe-resolving initial panels.
+    The position box is the Wigner support (six widths around the packet
+    centers) clipped against the target support b0 +/- 8 sigma_t; the wide
+    limit takes n = 1 on the unclipped box, which gives d sigma / d Omega.
+    The momentum box is four inverse widths with fringe-resolving initial
+    panels.  A cat's momentum rows are f^2 M_0 and f^2 (M_0 + M_1), B_1
+    their difference, so a negligible fringe cannot stall its row.
     """
     state, target = cfg.state, cfg.target
-    if target.wide_limit:
-        raise ValueError("the general4d method requires a finite target")
     spec = cfg.quad or METHOD_SPECS[GENERAL_4D]
-
-    b0x, b0y = target.b0
-    st = target.sigma_t
-
-    def clip(iv, b0j):
-        lo, hi = max(iv.lo, b0j - 8.0 * st), min(iv.hi, b0j + 8.0 * st)
+    (sx, sy), wide = state.widths, target.wide_limit
+    box = phase_space_box(state.widths, state.r0_vec, 6.0, 4.0)
+    splits = phase_space_panels(state, box)
+    n_e, n_max, b_box = 1, 1.0, box[:2]
+    if not wide:
+        st = target.sigma_t
+        n_e, n_max = cfg.n_e, 1.0 / (2.0 * math.pi * st * st)
+        clipped = [(max(iv.lo, c - 8.0 * st), min(iv.hi, c + 8.0 * st))
+                   for iv, c in zip(box[:2], target.b0)]
         # Disjoint supports: integrate over the beam support.
-        return Interval(lo, hi) if lo < hi else iv
+        b_box = [Interval(lo, hi) if lo < hi else iv for (lo, hi), iv in zip(clipped, box[:2])]
 
-    bx, by, px, py = phase_space_box(state.widths, state.r0_vec, 6.0, 4.0)
-    box = [clip(bx, b0x), clip(by, b0y), px, py]
+    def position(x, y):
+        n = 1.0 if wide else target_density(target, (x, y))
+        return np.stack([n * p for p, _ in wigner_terms(state, x, y, 0.0, 0.0)])
 
-    def terms(x, y, qx, qy):
-        n = target_density(target, (x, y))
+    def momentum(qx, qy):
         amp = hydrogen_amplitude(np.sqrt((qx0 - qx) ** 2 + (qy0 - qy) ** 2 + qz * qz))
-        f2 = amp * amp
-        return [(n * w_r, f2 * w_p) for w_r, w_p in wigner_terms(state, x, y, qx, qy)]
+        return amp * amp * np.cumsum([m for _, m in wigner_terms(state, 0.0, 0.0, qx, qy)], axis=0)
 
-    res = integrate_nd(factored_integrand(terms), box, spec,
-                       initial_splits=phase_space_panels(state, box))
-    value = cfg.n_e * res.value
-    err = cfg.n_e * res.err_est
+    def outside(n_sd):  # mass fraction of a 2-D Gaussian outside +/- n_sd deviations, 1 - erf^2
+        return math.erfc(n_sd / math.sqrt(2.0)) * (1.0 + math.erf(n_sd / math.sqrt(2.0)))
+
+    a = integrate_nd(position, b_box, spec, initial_splits=splits[:2])
+    b = integrate_nd(momentum, box[2:], spec, initial_splits=splits[2:])
+    # Truncation tails.  Position: max n times the mass of |P_k| (2 pi sx sy /
+    # (1 +/- overlap) each for a cat) beyond six widths, plus e^-32 of it for
+    # the clip.  Momentum: f^2 <= 1 times the mass of M_0 beyond four inverse
+    # widths (eight deviations), twice on the fringe row; B_1 bears both rows'.
+    mass_p = 2.0 * math.pi * sx * sy / (1.0 + state.parity * state.packet_overlap)
+    e_a = a.err_est + n_max * mass_p * (outside(6.0) + math.exp(-32.0))
+    e_b = np.cumsum(b.err_est + np.arange(1, len(b.value) + 1) * outside(8.0)
+                    / (2.0 * math.pi * sx * sy))
+    b_k = np.diff(b.value, prepend=0.0)
+    value = n_e * float(a.value @ b_k)
+    err = n_e * float(np.abs(a.value) @ e_b + np.abs(b_k) @ e_a + e_a @ e_b)
     if value < -err:
         raise NegativeTotal(
             f"general 4-D total {value:.3e} below -err_est {-err:.3e}; "
@@ -445,7 +459,7 @@ event_density_gaussian = event_density_cat_quadrature
 
 
 def event_density_general(cfg: ScatteringConfig, kin: Kinematics) -> EventDensity:
-    """:func:`event_density` by the 4-D cubature (:func:`_general4d`)."""
+    """:func:`event_density` by the 4-D oracle (:func:`_general4d`)."""
     return event_density(cfg, kin, GENERAL_4D)
 
 

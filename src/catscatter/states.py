@@ -29,9 +29,10 @@ rather than via ``cosh`` (avoids overflow at large separations).
 
 W is written once, as products of a position and a momentum factor
 (:func:`wigner_terms`; the cats add the fringe as a second product).
-Open-mesh grids run each factor on its own axes, and the 4-D cubatures
-on the 17 distinct position and 17 distinct momentum projections of the
-57 Genz-Malik nodes (:func:`~catscatter.quadrature.factored_integrand`).
+Open-mesh grids run each factor on its own axes, the 4-D scattering
+oracle integrates each over its own 2-D box, and the 4-D normalization
+runs them on the 17 distinct position and 17 distinct momentum projections
+of the 57 Genz-Malik nodes (:func:`~catscatter.quadrature.factored_integrand`).
 
 Every phase-space truncation box (negativity scans, normalization, the
 4-D scattering oracle, the CLI export) comes from :func:`phase_space_box`,

@@ -390,6 +390,13 @@ def test_sidecar_fields_of_the_wrong_kind_exit_one(sub, field, bad, message, tmp
     assert run_cli("--config", str(sidecar)) == (1, "", f"input error: {message}\n")
 
 
+@pytest.mark.parametrize("flag, field", [("--theta", "theta=nan"), ("--phi", "phi=nan")])
+def test_non_finite_angles_print_plain_floats(flag, field):
+    code, out, err = run_cli("scatter", "--wide", flag, "nan")
+    assert (code, out) == (1, "") and err.startswith("input error: ValueError: kinematics")
+    assert field in err and "np.float64" not in err
+
+
 def test_sidecar_integers_are_valid_numbers(tmp_path):
     data = json.loads(RunConfig(subcommand="scatter").to_json())
     data.update(p_i=10, theta_deg=[10], sigma_perp=2)

@@ -88,23 +88,8 @@ def test_quad2d_err_est_bounds_reference_error():
                     for pt in points)
 
 
-# Finite-target points on which the 4-D oracle takes under 0.05 s each
-# (about 2 s in all).  Left out: #68 and #137, cats of r0 ~ 70 whose
-# cubature stalls at its subdivision budget (NonConvergence), and the
-# points that take from 0.05 s to over 5 s.
-GENERAL_4D_POINTS = (
-    13, 20, 24, 25, 32, 36, 44, 52, 56, 60, 64, 72, 76, 80, 84, 88, 96, 100, 112, 116,
-    120, 128, 136, 140, 144, 148, 156, 160, 164, 168, 172, 176, 184, 192, 196, 200, 204,
-    208, 217, 220, 224, 232, 236, 237, 244, 256, 265, 272, 273, 276, 280, 281, 285, 288,
-    293, 296, 300, 301, 304, 311, 312, 313, 317, 318, 319, 323, 324, 325, 329, 330, 331,
-    335, 336, 337, 341, 342, 343, 347, 348, 349, 353, 354, 355, 359, 360, 361,
-)
-
-
 def test_general4d_err_est_bounds_reference_error():
     points = json.loads(DATA.read_text())["points"]
-    picked = [points[i] for i in GENERAL_4D_POINTS]
-    assert all(pt["target"] is not None for pt in picked)
-    assert {pt.get("beam") for pt in picked} == {None, "gaussian", "mixture", "anisotropic"}
+    assert len(points) >= 300
     _assert_bounded((event_density(_config(pt), _kinematics(pt), "general4d"), pt)
-                    for pt in picked)
+                    for pt in points)

@@ -4,7 +4,7 @@ about the separation azimuth, and nonnegativity; for the 2-D momentum
 route, which integrates every beam in the lab frame, the Gaussian and
 mixture nulls in phi and agreement with the closed form, for the cats and
 for the beams without a fringe; for the 4-D oracle, agreement with the 2-D
-route."""
+route for every beam, on wide and finite targets."""
 
 import math
 
@@ -147,23 +147,32 @@ def test_route_2d_cat_agrees_with_closed_form(sigma_perp, r0_ratio, theta, p, ph
 
 # -- the 4-D phase-space oracle ------------------------------------------------
 
-@settings(max_examples=10, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
-    sigma_perp=st.floats(1.5, 2.5),
-    r0_ratio=st.floats(0.5, 2.0),
+    variant=st.sampled_from(["gaussian", "even_cat", "odd_cat", "incoherent_pair",
+                             "anisotropic"]),
+    sigma_perp=st.floats(0.5, 5.0),
+    sigma_y=st.floats(0.5, 5.0),
+    r0_ratio=st.floats(0.5, 10.0),
     phi_r0=st.floats(0.0, 2.0 * math.pi),
-    sigma_t=st.floats(15.0, 25.0),
-    theta=st.floats(5.0 * math.pi / 180.0, 15.0 * math.pi / 180.0),
-    p=st.floats(8.0, 12.0),
+    sigma_t=st.floats(5.0, 25.0),
+    wide=st.booleans(),
+    theta=st.floats(0.0, 0.5),
+    p=st.floats(5.0, 30.0),
     phi=st.floats(0.0, 2.0 * math.pi),
-    odd=st.booleans(),
 )
-def test_route_4d_cat_agrees_with_2d(sigma_perp, r0_ratio, phi_r0, sigma_t, theta, p, phi,
-                                     odd):
-    """The lab-frame 4-D cubature of n W f^2 and the 2-D momentum route
-    give one cat density on an offset finite target."""
-    maker = BeamState.odd_cat if odd else BeamState.even_cat
-    target = TargetProfile.gaussian(sigma_t, (1.0, -0.5))
-    cfg = ScatteringConfig(maker(sigma_perp, r0_ratio * sigma_perp, phi_r0=phi_r0), target)
+def test_route_4d_cat_agrees_with_2d(variant, sigma_perp, sigma_y, r0_ratio, phi_r0, sigma_t,
+                                     wide, theta, p, phi):
+    """The lab-frame 4-D oracle of n W f^2 and the 2-D momentum route give
+    one density within their summed bounds, for every beam, on the wide
+    target and on an offset finite one."""
+    if variant == "gaussian":
+        state = BeamState.gaussian(sigma_perp)
+    elif variant == "anisotropic":
+        state = BeamState.anisotropic(sigma_perp, sigma_y)
+    else:
+        state = getattr(BeamState, variant)(sigma_perp, r0_ratio * sigma_perp, phi_r0=phi_r0)
+    target = TargetProfile.wide() if wide else TargetProfile.gaussian(sigma_t, (1.0, -0.5))
+    cfg = ScatteringConfig(state, target)
     kin = Kinematics.elastic(p, theta, phi)
     _agree(event_density_general(cfg, kin), event_density_cat_quadrature(cfg, kin))

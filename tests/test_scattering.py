@@ -176,6 +176,43 @@ def test_negative_total_guard_fires_on_unphysical_density(monkeypatch):
         event_density_general(ScatteringConfig(state, target), kin)
 
 
+def _three_way_gaps():
+    """|q - g| / (e_q + e_g) of the 2-D route against the 4-D oracle on
+    four offset-target cats, where the fringe's offset factor matters."""
+    kin = Kinematics.elastic(10.0, 10.0 * DEG, 0.7)
+    gaps = []
+    for maker in (BeamState.even_cat, BeamState.odd_cat):
+        for sigma_t in (6.0, 20.0):
+            cfg = ScatteringConfig(maker(2.0, 3.0, phi_r0=0.4),
+                                   TargetProfile.gaussian(sigma_t, (3.0, -2.0)))
+            q, g = event_density_cat_quadrature(cfg, kin), event_density_general(cfg, kin)
+            gaps.append(abs(q.value - g.value) / (q.err_est + g.err_est))
+    return gaps
+
+
+def _drop_offset(weights):
+    return lambda state, target: (*weights(state, target)[:2], 1.0)
+
+
+def _stretch_sigma_sq(weights):
+    # Sigma_j^2 = sigma_t^2 + sigma_j^2 grows by 1 + 1e-4 on every axis.
+    f = math.sqrt(1.0 + 1e-4)
+    return lambda state, target: weights(replace(state, sigma_perp=f * state.sigma_perp),
+                                         replace(target, sigma_t=f * target.sigma_t))
+
+
+@pytest.mark.parametrize("plant", [None, _drop_offset, _stretch_sigma_sq],
+                         ids=["no_defect", "drop_offset", "stretch_sigma_sq"])
+def test_three_way_check_catches_planted_target_weight_defects(monkeypatch, plant):
+    # The oracle takes the target from n(b) pointwise, so a defect in the
+    # 2-D route's analytic target weights must show as a gap beyond the bounds.
+    import catscatter.scattering as sc
+
+    if plant:
+        monkeypatch.setattr(sc, "_target_weights", plant(sc._target_weights))
+    assert (max(_three_way_gaps()) > 1.0) == (plant is not None)
+
+
 def test_general4d_mixture_vs_quadrature2d():
     state = BeamState.incoherent_pair(2.0, 4.0)
     target = TargetProfile.gaussian(20.0, (2.0, 0.0))
@@ -453,8 +490,9 @@ def test_dispatch_and_preconditions():
     for state in (BeamState.odd_cat(2.0, 4.0), BeamState.incoherent_pair(2.0, 4.0),
                   BeamState.anisotropic(1.0, 2.5)):
         assert event_density(wide_cfg(state), kin).method == "closed_form"
-    with pytest.raises(ValueError):
-        event_density_general(cfg, kin)  # wide target has no 4-D density
+    # The wide oracle takes n = 1, which is d sigma / d Omega itself.
+    g, q = event_density_general(cfg, kin), event_density_cat_quadrature(cfg, kin)
+    assert g.wide_limit and abs(g.value - q.value) <= g.err_est + q.err_est
 
 
 @pytest.mark.parametrize("state", [
