@@ -1,17 +1,13 @@
-"""Deterministic adaptive quadrature over finite intervals and 2-D/4-D boxes.
+"""Deterministic adaptive quadrature over finite intervals and 2-D boxes.
 
-The engine subdivides panels carrying an embedded (nested) rule pair:
-
-* 1-D and 2-D: 15-point Gauss-Kronrod with the embedded 7-point Gauss rule
-  (tensor product in 2-D), error estimated from the K15-G7 difference.
-* 4-D: Genz-Malik degree-7 rule with the embedded degree-5 rule
-  (57 points per box in 4-D), the standard workhorse for adaptive
-  cubature in moderate dimension.
+The engine subdivides panels carrying the 15-point Gauss-Kronrod rule with
+the embedded 7-point Gauss rule (tensor product in 2-D), error estimated
+from the K15-G7 difference.
 
 Refinement is global: on every round the boxes holding the dominant error
 are bisected along the axis with the largest error indicator, taken over
-the rows: Genz-Malik's fourth difference in 4-D, the mixed rule (Gauss on
-that axis, Kronrod on the other) in 2-D.  A 1-D panel is simply halved.
+the rows: in 2-D the mixed rule (Gauss on that axis, Kronrod on the
+other).  A 1-D panel is simply halved.
 A vector-valued integrand (one row per integrand of a batch) shares one
 panel set across its rows; each row must meet its own tolerance, and a
 round splits the boxes holding the largest error-to-tolerance ratio among
@@ -32,8 +28,7 @@ array per coordinate and returns an array of the same shape, or of shape
 ``(B, *shape)`` for a batch of ``B`` integrands.  The first evaluation
 fixes which of the two it is; any other output shape, then or later, is a
 ``ValueError``.  A callable that rejects arrays (``math.exp``) raises its
-own error.  A 4-D sum of products of (x0, x1) and (x2, x3) factors may come
-as :func:`factored_integrand`, which runs each factor on distinct projections.
+own error.
 """
 
 from __future__ import annotations
@@ -57,7 +52,6 @@ __all__ = [
     "DEFAULT_SPEC_4D",
     "integrate_1d",
     "integrate_nd",
-    "factored_integrand",
     "oscillation_panels",
 ]
 
@@ -124,9 +118,9 @@ class QuadratureResult:
 
 
 _MAX_OSC_PANELS = 8192
-# Fringe phase one initial panel may hold.  A K15 or Genz-Malik panel
-# resolves a Gaussian-damped cosine to rounding level over this much phase,
-# and a quarter period keeps every panel far from a whole one.
+# Fringe phase one initial panel may hold.  A K15 panel resolves a
+# Gaussian-damped cosine to rounding level over this much phase, and a
+# quarter period keeps every panel far from a whole one.
 _PANEL_PHASE = math.pi / 2.0
 
 
@@ -146,7 +140,7 @@ def oscillation_panels(width: float, phase_rate: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Embedded rules
+# Embedded rule
 # ---------------------------------------------------------------------------
 
 # 15-point Kronrod abscissae and weights with the embedded 7-point Gauss
@@ -197,24 +191,9 @@ _WG_EMBEDDED[1::2] = np.array([
 ])
 
 
-class _EmbeddedRule:
-    """A rule pair ``w_high``/``w_low`` on the reference box [-1, 1]^d."""
-
-    def apply(self, vals: np.ndarray, halves: np.ndarray):
-        """vals: (rows, nbox, npts); halves: (nbox, d) half-widths.  Returns
-        the panel values and error bounds, (rows, nbox), and each box's
-        split axis: the largest per-axis indicator over the rows, and axis
-        0 without one on a single axis."""
-        scale = np.prod(halves, axis=1)
-        high = vals @ self.w_high
-        low = vals @ self.w_low
-        axis = (np.zeros(len(halves), dtype=np.intp) if halves.shape[1] == 1
-                else np.argmax(self.scores(vals, high).max(axis=0), axis=1))
-        return high * scale, np.abs(high - low) * scale, axis
-
-
-class _TensorGaussKronrod(_EmbeddedRule):
-    """Tensor-product K15/G7 rule for 1-D and 2-D boxes."""
+class _TensorGaussKronrod:
+    """Tensor-product K15/G7 rule pair ``w_high``/``w_low`` on the reference
+    box [-1, 1]^d, for 1-D and 2-D boxes."""
 
     def __init__(self, ndim: int):
         grids = np.meshgrid(*([_XGK] * ndim), indexing="ij")
@@ -236,111 +215,23 @@ class _TensorGaussKronrod(_EmbeddedRule):
             for ax in range(ndim)
         ]
 
-    def scores(self, vals: np.ndarray, high: np.ndarray) -> np.ndarray:
-        return np.stack([np.abs(high - vals @ w) for w in self.w_axis], axis=-1)
+    def apply(self, vals: np.ndarray, halves: np.ndarray):
+        """vals: (rows, nbox, npts); halves: (nbox, d) half-widths.  Returns
+        the panel values and error bounds, (rows, nbox), and each box's
+        split axis: the largest per-axis indicator over the rows, and axis
+        0 without one on a single axis."""
+        scale = np.prod(halves, axis=1)
+        high = vals @ self.w_high
+        low = vals @ self.w_low
+        if halves.shape[1] == 1:
+            axis = np.zeros(len(halves), dtype=np.intp)
+        else:
+            scores = np.stack([np.abs(high - vals @ w) for w in self.w_axis], axis=-1)
+            axis = np.argmax(scores.max(axis=0), axis=1)
+        return high * scale, np.abs(high - low) * scale, axis
 
 
-class _GenzMalik(_EmbeddedRule):
-    """Genz-Malik degree-7 rule with embedded degree-5 error estimate."""
-
-    def __init__(self, ndim: int):
-        d = ndim
-        l2 = math.sqrt(9.0 / 70.0)
-        l3 = math.sqrt(9.0 / 10.0)
-        l4 = math.sqrt(9.0 / 10.0)
-        l5 = math.sqrt(9.0 / 19.0)
-
-        pts = [np.zeros(d)]
-        idx2, idx3 = [], []
-        for i in range(d):
-            for sgn in (+1.0, -1.0):
-                e = np.zeros(d)
-                e[i] = sgn * l2
-                idx2.append(len(pts))
-                pts.append(e)
-            for sgn in (+1.0, -1.0):
-                e = np.zeros(d)
-                e[i] = sgn * l3
-                idx3.append(len(pts))
-                pts.append(e)
-        n4_start = len(pts)
-        for i in range(d):
-            for j in range(i + 1, d):
-                for si in (+1.0, -1.0):
-                    for sj in (+1.0, -1.0):
-                        e = np.zeros(d)
-                        e[i], e[j] = si * l4, sj * l4
-                        pts.append(e)
-        n5_start = len(pts)
-        for corner in range(2 ** d):
-            e = np.array(
-                [l5 if (corner >> k) & 1 else -l5 for k in range(d)]
-            )
-            pts.append(e)
-
-        self.nodes = np.array(pts)
-        self.npts = len(pts)
-        self.idx2 = np.array(idx2).reshape(d, 2)  # per-axis (+,-) rows
-        self.idx3 = np.array(idx3).reshape(d, 2)
-        self.ratio = (l2 / l3) ** 2
-
-        vol = 2.0 ** d
-        w = np.zeros(self.npts)
-        w[0] = vol * (12824.0 - 9120.0 * d + 400.0 * d * d) / 19683.0
-        w[self.idx2.ravel()] = vol * 980.0 / 6561.0
-        w[self.idx3.ravel()] = vol * (1820.0 - 400.0 * d) / 19683.0
-        w[n4_start:n5_start] = vol * 200.0 / 19683.0
-        w[n5_start:] = vol * (6859.0 / 19683.0) / (2.0 ** d)
-        self.w_high = w
-
-        wl = np.zeros(self.npts)
-        wl[0] = vol * (729.0 - 950.0 * d + 50.0 * d * d) / 729.0
-        wl[self.idx2.ravel()] = vol * 245.0 / 486.0
-        wl[self.idx3.ravel()] = vol * (265.0 - 100.0 * d) / 1458.0
-        wl[n4_start:n5_start] = vol * 25.0 / 729.0
-        self.w_low = wl
-
-    def scores(self, vals: np.ndarray, high: np.ndarray) -> np.ndarray:
-        # Fourth-difference indicator per axis (Genz-Malik split heuristic).
-        f0 = vals[..., 0][..., None]
-        s2 = vals[..., self.idx2[:, 0]] + vals[..., self.idx2[:, 1]] - 2.0 * f0
-        s3 = vals[..., self.idx3[:, 0]] + vals[..., self.idx3[:, 1]] - 2.0 * f0
-        return np.abs(s2 - self.ratio * s3)
-
-
-@functools.cache
-def _rule_for(ndim: int):
-    return _TensorGaussKronrod(ndim) if ndim <= 2 else _GenzMalik(ndim)
-
-
-@functools.cache
-def _node_projection(ndim: int, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (cols, inv): node ``cols[inv[j]]`` of the ndim-D rule has
-    the projection of node j onto ``axes``, and the projections of the
-    ``cols`` differ (in 4-D, 17 of 57 nodes for (0, 1) and for (2, 3))."""
-    _, cols, inv = np.unique(_rule_for(ndim).nodes[:, list(axes)], axis=0,
-                             return_index=True, return_inverse=True)
-    inv = inv.ravel()
-    cols.flags.writeable = inv.flags.writeable = False
-    return cols, inv
-
-
-def factored_integrand(terms: Callable) -> Callable:
-    """The 4-D integrand sum_k P_k(x0, x1) M_k(x2, x3) for :func:`integrate_nd`,
-    where ``terms(x0, x1, x2, x3)`` returns the (P_k, M_k) pairs.  ``terms``
-    sees only the distinct (x0, x1) and (x2, x3) projections of each box's
-    nodes, and the products are formed on the nodes they gather to."""
-    cols_r, inv_r = _node_projection(4, (0, 1))
-    cols_p, inv_p = _node_projection(4, (2, 3))
-
-    def f(x0, x1, x2, x3):
-        (p, m), *rest = terms(x0[:, cols_r], x1[:, cols_r], x2[:, cols_p], x3[:, cols_p])
-        out = p[:, inv_r] * m[:, inv_p]
-        for p, m in rest:
-            out += p[:, inv_r] * m[:, inv_p]
-        return out
-
-    return f
+_rule_for = functools.cache(_TensorGaussKronrod)
 
 
 # ---------------------------------------------------------------------------
@@ -547,22 +438,22 @@ def integrate_nd(
     *,
     initial_splits: Sequence[int] | None = None,
 ) -> QuadratureResult:
-    """Adaptively integrate ``f`` over a finite 2-D or 4-D box.
+    """Adaptively integrate ``f`` over a finite 2-D box.
 
     ``f`` receives one coordinate array per axis and returns an array of
     their shape, or a batch of shape ``(B, *shape)`` as in
     :func:`integrate_1d`.  ``initial_splits`` pre-panelizes each axis
     (oscillation safeguard); refinement then proceeds adaptively.  The
-    result is deterministic and independent of evaluation order.
+    result is deterministic and independent of evaluation order.  A box of
+    any other dimension raises ``UnsupportedDimension``; a 4-D integrand
+    that is a sum of products of 2-D factors is the sum of the products
+    of their 2-D integrals.
     """
-    ndim = len(box)
-    if ndim not in (2, 4):
-        raise UnsupportedDimension(f"integrate_nd supports 2-D and 4-D, got {ndim}-D")
-    if spec is None:
-        spec = DEFAULT_SPEC_2D if ndim == 2 else DEFAULT_SPEC_4D
+    if len(box) != 2:
+        raise UnsupportedDimension(f"integrate_nd supports 2-D boxes only, got {len(box)}-D")
     if initial_splits is None:
-        initial_splits = [1] * ndim
-    if len(initial_splits) != ndim:
+        initial_splits = [1, 1]
+    if len(initial_splits) != 2:
         raise ValueError("initial_splits length must match box dimension")
     return _adapt(f, [np.linspace(iv.lo, iv.hi, max(1, int(n)) + 1)
-                      for iv, n in zip(box, initial_splits)], spec)
+                      for iv, n in zip(box, initial_splits)], spec or DEFAULT_SPEC_2D)

@@ -91,9 +91,9 @@ from .states import (
     INCOHERENT_PAIR,
     ODD_CAT,
     BeamState,
+    _product_integral,
     phase_space_box,
     phase_space_panels,
-    wigner_terms,
 )
 from .targets import (Kinematics, TargetProfile, hydrogen_amplitude, target_density,
                       transfer_components)
@@ -321,56 +321,38 @@ def _closed_form(cfg: ScatteringConfig, q_w: np.ndarray, row_of: np.ndarray,
 
 def _general4d(cfg: ScatteringConfig, qz: float, qx0: float, qy0: float) -> tuple[float, float]:
     """(value, err_est) at Q = (qz, qx0, qy0) of the brute-force oracle
-    int d2b d2p n(b) W(b, p) f(|Q - p|)^2, for every beam and target.  With
-    W = sum_k P_k(b) M_k(p) from ``states.wigner_terms`` it is sum_k A_k B_k,
-    A_k = int n P_k d2b and B_k = int f^2 M_k d2p: one batched 2-D cubature
-    per side, with error sum_k |A_k| E_Bk + |B_k| E_Ak + E_Ak E_Bk.
+    int d2b d2p n(b) W(b, p) f(|Q - p|)^2, for every beam and target: the
+    sum of products of 2-D integrals of ``states._product_integral`` with
+    the weights n and f^2 <= 1, times n_e.
 
     The position box is the Wigner support (six widths around the packet
     centers) clipped against the target support b0 +/- 8 sigma_t; the wide
     limit takes n = 1 on the unclipped box, which gives d sigma / d Omega.
-    The momentum box is four inverse widths with fringe-resolving initial
-    panels.  A cat's momentum rows are f^2 M_0 and f^2 (M_0 + M_1), B_1
-    their difference, so a negligible fringe cannot stall its row.
+    Outside the Wigner box n is at most its value at the distance
+    gap = min_j (half-width_j - |b0_j|) from b0 when b0 lies inside the
+    box, which weighs the position tail.
     """
     state, target = cfg.state, cfg.target
     spec = cfg.quad or METHOD_SPECS[GENERAL_4D]
-    (sx, sy), wide = state.widths, target.wide_limit
-    box = phase_space_box(state.widths, state.r0_vec, 6.0, 4.0)
-    splits = phase_space_panels(state, box)
-    n_e, n_max, b_box = 1, 1.0, box[:2]
-    if not wide:
-        st = target.sigma_t
-        n_e, n_max = cfg.n_e, 1.0 / (2.0 * math.pi * st * st)
-        clipped = [(max(iv.lo, c - 8.0 * st), min(iv.hi, c + 8.0 * st))
-                   for iv, c in zip(box[:2], target.b0)]
-        # Disjoint supports: integrate over the beam support.
-        b_box = [Interval(lo, hi) if lo < hi else iv for (lo, hi), iv in zip(clipped, box[:2])]
 
-    def position(x, y):
-        n = 1.0 if wide else target_density(target, (x, y))
-        return np.stack([n * p for p, _ in wigner_terms(state, x, y, 0.0, 0.0)])
-
-    def momentum(qx, qy):
+    def f2(qx, qy):
         amp = hydrogen_amplitude(np.sqrt((qx0 - qx) ** 2 + (qy0 - qy) ** 2 + qz * qz))
-        return amp * amp * np.cumsum([m for _, m in wigner_terms(state, 0.0, 0.0, qx, qy)], axis=0)
+        return amp * amp
 
-    def outside(n_sd):  # mass fraction of a 2-D Gaussian outside +/- n_sd deviations, 1 - erf^2
-        return math.erfc(n_sd / math.sqrt(2.0)) * (1.0 + math.erf(n_sd / math.sqrt(2.0)))
-
-    a = integrate_nd(position, b_box, spec, initial_splits=splits[:2])
-    b = integrate_nd(momentum, box[2:], spec, initial_splits=splits[2:])
-    # Truncation tails.  Position: max n times the mass of |P_k| (2 pi sx sy /
-    # (1 +/- overlap) each for a cat) beyond six widths, plus e^-32 of it for
-    # the clip.  Momentum: f^2 <= 1 times the mass of M_0 beyond four inverse
-    # widths (eight deviations), twice on the fringe row; B_1 bears both rows'.
-    mass_p = 2.0 * math.pi * sx * sy / (1.0 + state.parity * state.packet_overlap)
-    e_a = a.err_est + n_max * mass_p * (outside(6.0) + math.exp(-32.0))
-    e_b = np.cumsum(b.err_est + np.arange(1, len(b.value) + 1) * outside(8.0)
-                    / (2.0 * math.pi * sx * sy))
-    b_k = np.diff(b.value, prepend=0.0)
-    value = n_e * float(a.value @ b_k)
-    err = n_e * float(np.abs(a.value) @ e_b + np.abs(b_k) @ e_a + e_a @ e_b)
+    if target.wide_limit:
+        n_e, res = 1, _product_integral(state, spec, lambda x, y: 1.0, f2)
+    else:
+        st = target.sigma_t
+        box = phase_space_box(state.widths, state.r0_vec, 6.0, 4.0)[:2]
+        clipped = [(max(iv.lo, c - 8.0 * st), min(iv.hi, c + 8.0 * st))
+                   for iv, c in zip(box, target.b0)]
+        # Disjoint supports: integrate over the beam support.
+        b_box = [Interval(lo, hi) if lo < hi else iv for (lo, hi), iv in zip(clipped, box)]
+        gap = max(0.0, min(iv.hi - abs(c) for iv, c in zip(box, target.b0)))
+        n_e, res = cfg.n_e, _product_integral(
+            state, spec, lambda x, y: target_density(target, (x, y)), f2, b_box,
+            1.0 / (2.0 * math.pi * st * st), math.exp(-gap * gap / (2.0 * st * st)))
+    value, err = n_e * res.value, n_e * res.err_est
     if value < -err:
         raise NegativeTotal(
             f"general 4-D total {value:.3e} below -err_est {-err:.3e}; "

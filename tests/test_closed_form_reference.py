@@ -14,7 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from catscatter import BeamState, Kinematics, ScatteringConfig, TargetProfile
-from catscatter.scattering import event_density, event_density_cat_closed, event_density_grid
+from catscatter.scattering import (METHOD_SPECS, event_density, event_density_cat_closed,
+                                   event_density_grid)
 
 DATA = Path(__file__).parent / "data" / "closed_form_reference.json"
 
@@ -93,3 +94,14 @@ def test_general4d_err_est_bounds_reference_error():
     assert len(points) >= 300
     _assert_bounded((event_density(_config(pt), _kinematics(pt), "general4d"), pt)
                     for pt in points)
+
+
+def test_general4d_position_tail_weighs_the_density_outside_the_box():
+    # Point 68: packets at r0 ~ 72 on a sigma_t ~ 3.5 target near the origin,
+    # 28 sigma_t inside every edge of the Wigner box, so n outside the box
+    # is below e^-390 of its maximum; a tail weighed by that maximum makes
+    # the bound 1.4e7 times the tolerance.
+    pt = json.loads(DATA.read_text())["points"][68]
+    ed = event_density(_config(pt), _kinematics(pt), "general4d")
+    assert ed.err_est <= 1e3 * METHOD_SPECS["general4d"].rel_tol * abs(ed.value)
+    _assert_bounded([(ed, pt)])

@@ -4,7 +4,8 @@ about the separation azimuth, and nonnegativity; for the 2-D momentum
 route, which integrates every beam in the lab frame, the Gaussian and
 mixture nulls in phi and agreement with the closed form, for the cats and
 for the beams without a fringe; for the 4-D oracle, agreement with the 2-D
-route for every beam, on wide and finite targets."""
+route for every beam, on wide and finite targets; for the Wigner
+normalization, 1 within its own bound for every beam."""
 
 import math
 
@@ -20,7 +21,7 @@ from catscatter.scattering import (
     event_density_general,
     event_density_grid,
 )
-from catscatter.states import BeamState
+from catscatter.states import BeamState, wigner_normalization
 from catscatter.targets import Kinematics, TargetProfile
 
 N_PHI = 16
@@ -176,3 +177,30 @@ def test_route_4d_cat_agrees_with_2d(variant, sigma_perp, sigma_y, r0_ratio, phi
     cfg = ScatteringConfig(state, target)
     kin = Kinematics.elastic(p, theta, phi)
     _agree(event_density_general(cfg, kin), event_density_cat_quadrature(cfg, kin))
+
+
+# -- the Wigner normalization --------------------------------------------------
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    variant=st.sampled_from(["gaussian", "even_cat", "odd_cat", "incoherent_pair",
+                             "anisotropic"]),
+    sigma=st.floats(0.3, 10.0),
+    r0_ratio=st.floats(0.5, 10.0),
+    phi_r0=st.floats(0.0, math.pi),
+    aspect=st.floats(0.3, 3.0),
+)
+# Wide oblique separations: many fringe panels on both momentum axes.
+@example(variant="even_cat", sigma=1.0, r0_ratio=6.0, phi_r0=0.5, aspect=1.0)
+@example(variant="even_cat", sigma=1.0, r0_ratio=7.5, phi_r0=0.5, aspect=1.0)
+def test_wigner_normalization_within_its_bound(variant, sigma, r0_ratio, phi_r0, aspect):
+    """W integrates to 1 within its err_est, and err_est within 1e-4, for
+    every beam; aspect is sigma_y / sigma_x of the anisotropic beam."""
+    if variant == "gaussian":
+        state = BeamState.gaussian(sigma)
+    elif variant == "anisotropic":
+        state = BeamState.anisotropic(sigma, aspect * sigma)
+    else:
+        state = getattr(BeamState, variant)(sigma, r0_ratio * sigma, phi_r0=phi_r0)
+    res = wigner_normalization(state)
+    assert abs(res.value - 1.0) <= res.err_est <= 1e-4

@@ -9,7 +9,6 @@ from catscatter.errors import NonConvergence, NonFiniteIntegrand, UnsupportedDim
 from catscatter.quadrature import (
     Interval,
     QuadratureSpec,
-    factored_integrand,
     integrate_1d,
     integrate_nd,
     oscillation_panels,
@@ -157,61 +156,12 @@ def test_determinism_bit_identical():
     b = integrate_1d(f1, Interval(-6, 6), initial_panels=7)
     assert a.value == b.value and a.err_est == b.err_est
 
-    f4 = lambda x, y, px, py: np.exp(-x * x - y * y - px * px - py * py)
-    box = [Interval(-4, 4)] * 4
-    r1 = integrate_nd(f4, box, initial_splits=[3, 3, 3, 3])
-    r2 = integrate_nd(f4, box, initial_splits=[3, 3, 3, 3])
-    assert r1.value == r2.value
-
-
-def test_4d_genz_malik_polynomial_exactness():
-    # Degree-7 rule integrates x^4 y^2 over [-1,1]^4 exactly.
-    r = integrate_nd(lambda a, b, c, d: a ** 4 * b ** 2,
-                     [Interval(-1, 1)] * 4, QuadratureSpec(rel_tol=1e-6))
-    assert abs(r.value - 16.0 / 15.0) <= 1e-12
-
-
-def test_4d_gaussian_normalization():
-    c = 1.0 / math.pi ** 2
-    f = lambda x, y, px, py: c * np.exp(-2 * (px * px + py * py) - (x * x + y * y) / 2)
-    box = [Interval(-8, 8), Interval(-8, 8), Interval(-4, 4), Interval(-4, 4)]
-    r = integrate_nd(f, box, QuadratureSpec(rel_tol=1e-5, max_subdivisions=200_000),
-                     initial_splits=[8, 8, 8, 8])
-    assert abs(r.value - 1.0) <= 1e-5
-
-
-@pytest.mark.parametrize("axes", [(0, 1), (2, 3)])
-def test_genz_malik_nodes_have_17_distinct_projections(axes):
-    nodes = quadrature._rule_for(4).nodes[:, axes]
-    cols, inv = quadrature._node_projection(4, axes)
-    assert len(cols) == 17 == len(np.unique(nodes, axis=0))
-    assert inv.shape == (57,)
-    assert np.array_equal(nodes[cols][inv], nodes)
-
-
-def test_factored_integrand_matches_its_products_on_every_node():
-    def terms(x, y, px, py):
-        return [(np.exp(-(x * x + y * y) / 2), np.exp(-2 * (px * px + py * py))),
-                (np.exp(-(x - 1) ** 2 - y * y), 1 / (1 + px * px + py * py))]
-
-    def direct(x, y, px, py):
-        return sum(p * m for p, m in terms(x, y, px, py))
-
-    factored, calls = factored_integrand(terms), []
-
-    def checked(*coords):
-        vals = factored(*coords)
-        np.testing.assert_allclose(vals, direct(*coords), rtol=1e-14, atol=0)
-        calls.append(vals.shape)
-        return vals
-
-    box = [Interval(-5, 5), Interval(-4, 6), Interval(-3, 3), Interval(-2, 3)]
-    res = integrate_nd(checked, box, QuadratureSpec(rel_tol=1e-4))
-    ref = integrate_nd(direct, box, QuadratureSpec(rel_tol=1e-4))
-    assert res.subdivisions > 0 and len(calls) > 1
-    # Equal values at the nodes, but gathered columns come out column-major,
-    # so the rule's weighted sums (BLAS) may round apart.
-    assert res.value == pytest.approx(ref.value, rel=1e-13)
+    f2 = lambda x, y: np.stack([np.exp(-x * x - 2 * y * y), np.cos(3 * x * y) * np.exp(-y * y)])
+    box = [Interval(-4, 4)] * 2
+    r1 = integrate_nd(f2, box, initial_splits=[3, 3])
+    r2 = integrate_nd(f2, box, initial_splits=[3, 3])
+    assert r1.subdivisions > 0
+    assert np.array_equal(r1.value, r2.value) and np.array_equal(r1.err_est, r2.err_est)
 
 
 def test_nonconvergence():
@@ -231,6 +181,8 @@ def test_nonfinite_integrand():
 def test_unsupported_dimension():
     with pytest.raises(UnsupportedDimension):
         integrate_nd(lambda x, y, z: x, [Interval(0, 1)] * 3)
+    with pytest.raises(UnsupportedDimension, match="4-D"):
+        integrate_nd(lambda x, y, px, py: x, [Interval(0, 1)] * 4)
     with pytest.raises(UnsupportedDimension):
         integrate_nd(lambda x: x, [Interval(0, 1)])
 
@@ -340,7 +292,7 @@ def _sizes_per_call(monkeypatch, chunk, run):
     return run(record), sizes
 
 
-@pytest.mark.parametrize("case", ["1d_batch", "2d", "4d"])
+@pytest.mark.parametrize("case", ["1d_batch", "2d"])
 def test_chunked_calls_stay_under_the_bound(monkeypatch, case):
     def run(record):
         if case == "1d_batch":  # chunked on later rounds
@@ -348,14 +300,11 @@ def test_chunked_calls_stay_under_the_bound(monkeypatch, case):
                                        * np.exp(-x * x)),
                                 Interval(-8.0, 8.0), QuadratureSpec(rel_tol=1e-12),
                                 initial_panels=4)
-        if case == "2d":  # chunked from the initial panels on
-            return integrate_nd(record(lambda x, y: np.exp(-x * x - 2 * y * y)
-                                       * np.cos(3 * x * y)),
-                                [Interval(-5, 5), Interval(-4, 4)], TIGHT,
-                                initial_splits=[6, 6])
-        return integrate_nd(record(lambda x, y, px, py:
-                                   np.exp(-x * x - y * y - px * px - py * py)),
-                            [Interval(-4, 4)] * 4, initial_splits=[3, 3, 3, 3])
+        # 2-D: chunked from the initial panels on
+        return integrate_nd(record(lambda x, y: np.exp(-x * x - 2 * y * y)
+                                   * np.cos(3 * x * y)),
+                            [Interval(-5, 5), Interval(-4, 4)], TIGHT,
+                            initial_splits=[6, 6])
 
     whole, whole_sizes = _sizes_per_call(monkeypatch, quadrature._CHUNK, run)
     chunked, sizes = _sizes_per_call(monkeypatch, SMALL_CHUNK, run)

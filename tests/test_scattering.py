@@ -167,7 +167,7 @@ def test_negative_total_guard_fires_on_unphysical_density(monkeypatch):
     # the nonnegativity guard on the brute-force total must trip.
     from catscatter.errors import NegativeTotal
 
-    monkeypatch.setattr("catscatter.scattering.wigner_terms",
+    monkeypatch.setattr("catscatter.states.wigner_terms",
                         lambda *a: [(-p, m) for p, m in wigner_terms(*a)])
     state = BeamState.gaussian(2.0)
     target = TargetProfile.gaussian(20.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from catscatter.errors import InvalidCatSeparation, NoPureState, UnsupportedVariant
-from catscatter.quadrature import Interval, QuadratureSpec, _rule_for, factored_integrand, integrate_nd
+from catscatter.quadrature import Interval, QuadratureSpec, integrate_nd
 from catscatter.states import (
     BeamState,
     PhasePoint,
@@ -209,11 +209,11 @@ def test_wigner_normalization(state):
 
 def test_oblique_separated_cat_normalization_panels():
     # A well-separated oblique cat: each momentum axis gets the fewest
-    # panels holding at most pi/2 of fringe phase, ceil(2 |r0_j| * 6 / (pi/2)),
-    # and the normalization converges from them.
+    # panels holding at most pi/2 of fringe phase, ceil(2 |r0_j| * 16/3 / (pi/2))
+    # on the normalization's box, and the normalization converges from them.
     state = BeamState.odd_cat(1.5, 4.0, phi_r0=0.3)
-    box = phase_space_box(state.widths, state.r0_vec, 6.0, 4.5)
-    assert phase_space_panels(state, box) == [9, 7, 30, 10]
+    box = phase_space_box(state.widths, state.r0_vec, 6.0, 4.0)
+    assert phase_space_panels(state, box) == [9, 7, 26, 9]
     r = wigner_normalization(state)
     assert abs(r.value - 1.0) <= r.err_est
 
@@ -385,20 +385,21 @@ def textbook_wigner(state, x, y, px, py):
 
 @pytest.mark.parametrize("state", FIVE_BEAMS, ids=lambda s: s.variant)
 def test_factors_gathered_to_the_4d_nodes_equal_wigner_values(state):
-    # The 57 Genz-Malik abscissae of random boxes, built as the cubature
-    # builds them, against W from its factors on the 17 + 17 projections.
+    # The position factors on random (x, y), the momentum factors on random
+    # (p_x, p_y), each run without the other's coordinates as the two 2-D
+    # cubatures of the product path run them, and their products summed on
+    # every 4-D pair, against wigner_values and against W written out.
     rng = np.random.default_rng(5)
     sx, sy = state.widths
-    reach = np.array([4 * sx + abs(state.r0_vec[0]), 4 * sy + abs(state.r0_vec[1]),
-                      3 / sx, 3 / sy])
-    center = rng.uniform(-1, 1, (200, 4)) * reach
-    half = rng.uniform(0.01, 0.5, (200, 4)) * reach
-    nodes = _rule_for(4).nodes
-    coords = [center[:, k, None] + half[:, k, None] * nodes[:, k] for k in range(4)]
-    w = factored_integrand(lambda *c: wigner_terms(state, *c))(*coords)
-    assert w.shape == (200, 57)
-    np.testing.assert_allclose(w, wigner_values(state, *coords), rtol=1e-14, atol=0)
-    ref = textbook_wigner(state, *coords)
+    x, y = (rng.uniform(-1, 1, (300, 1)) * r
+            for r in (4 * sx + abs(state.r0_vec[0]), 4 * sy + abs(state.r0_vec[1])))
+    px, py = (rng.uniform(-1, 1, (1, 300)) * r for r in (3 / sx, 3 / sy))
+    p_k = [p for p, _ in wigner_terms(state, x, y, 0.0, 0.0)]
+    m_k = [m for _, m in wigner_terms(state, 0.0, 0.0, px, py)]
+    w = sum(p * m for p, m in zip(p_k, m_k))
+    assert w.shape == (300, 300)
+    np.testing.assert_allclose(w, wigner_values(state, x, y, px, py), rtol=1e-14, atol=0)
+    ref = textbook_wigner(state, x, y, px, py)
     assert np.abs(w - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
