@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -320,6 +321,11 @@ FIVE_BEAMS = [
 ]
 
 
+# A full grid of 16 is one block of W; 17 ends in a short block (289 rows,
+# 226 to a block) and 32 runs 16 blocks.
+DENSE_GRIDS = [("slice", 64), ("full", 16), ("full", 17), ("full", 32)]
+
+
 def dense_grid(state, n, mode):
     """The dense meshgrid of ``wigner_grid``'s axes, W on it, and the lab
     coordinates W was evaluated at."""
@@ -334,7 +340,7 @@ def dense_grid(state, n, mode):
     return dense, wigner_values(state, *lab), lab
 
 
-@pytest.mark.parametrize("mode,n", [("slice", 64), ("full", 16)])
+@pytest.mark.parametrize("mode,n", DENSE_GRIDS)
 @pytest.mark.parametrize("state", FIVE_BEAMS, ids=lambda s: s.variant)
 def test_open_mesh_grid_equals_the_dense_grid(state, mode, n):
     *coords, w = wigner_grid(state, n, mode)
@@ -346,7 +352,7 @@ def test_open_mesh_grid_equals_the_dense_grid(state, mode, n):
         assert not c.flags.writeable
 
 
-@pytest.mark.parametrize("mode,n", [("slice", 64), ("full", 16)])
+@pytest.mark.parametrize("mode,n", DENSE_GRIDS)
 @pytest.mark.parametrize("state", FIVE_BEAMS, ids=lambda s: s.variant)
 def test_negativity_scan_equals_a_scan_of_the_dense_grid(state, mode, n):
     _, w, lab = dense_grid(state, n, mode)
@@ -356,6 +362,18 @@ def test_negativity_scan_equals_a_scan_of_the_dense_grid(state, mode, n):
     assert s.min_value == float(w.min())
     assert s.min_location == PhasePoint(r=(x, y), p=(px, py))
     assert s.negative_volume_fraction == float(np.count_nonzero(w < 0.0) / w.size)
+
+
+def test_full_scan_memory_does_not_grow_with_the_grid():
+    # A grid-48 W is 42 MB; the scan holds two blocks of 2^16 points.
+    state = BeamState.odd_cat(2.0, 2.4, phi_r0=math.pi / 2)
+    tracemalloc.start()
+    try:
+        negativity_scan(state, mode="full", grid_n=48)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("state", FIVE_BEAMS, ids=lambda s: s.variant)
@@ -411,6 +429,8 @@ def test_scan_box_coverage_enforced():
         negativity_scan(BeamState.gaussian(2.0), grid_n=16.5)
     with pytest.raises(ValueError, match="integer"):
         wigner_grid(BeamState.gaussian(2.0), 16.0, "full")
+    with pytest.raises(ValueError, match="integer >= 1"):
+        wigner_grid(BeamState.gaussian(2.0), 0, "full")
 
 
 def test_phase_space_grid_contains_zero():
