@@ -6,40 +6,39 @@ of scattering events per solid angle is
 
     d nu / d Omega = N_e * int d2b d2p  n(b) W(b, p) f(|Q - p|)^2,
 
-where Q - p is the 3-vector (Qperp - p, Qz).  Every route uses the
-hydrogen 1s amplitude on the Gaussian target; three evaluation methods
-are provided, each also under a public route name:
+where Q - p is the 3-vector (Qperp - p, Qz).  With W = sum_k P_k(b) M_k(p)
+from ``states.wigner_terms`` (a cat's fringe is k = 1), every route is the
+same sum sum_k A_k B_k of a position side A_k = N_e int n P_k d2b and a
+momentum side B_k = int f^2 M_k d2p, which ``states._assemble`` forms
+with its bound; the routes differ in how they get each side:
 
-* ``general4d`` (``event_density_general``) -- the brute-force oracle, for
-  every beam and target: the formula above over truncated boxes, with W
-  itself, negative fringe included, written as the products P_k(b) M_k(p)
-  of ``states.wigner_terms``.  The 4-D integral is then the sum of the
-  products of two 2-D cubatures, of n(b) P_k over the position box and of
-  f^2 M_k over the momentum box, and n = 1 in the wide limit;
+* ``general4d`` (``event_density_general``) -- the brute-force oracle:
+  both sides by 2-D cubature over truncated boxes
+  (``states._product_integral``), with n = 1 in the wide limit;
 * ``quadrature2d`` (``event_density_cat_quadrature``, also bound as
-  ``event_density_gaussian``) -- the 2-D momentum route, for every beam
-  and the check on the closed form: the target integral is done
-  analytically (Gaussian convolution), leaving a 2-D momentum quadrature
-  of the Gaussian-weighted amplitude, plus a weight * (1 + cos(2 r0 . p))
-  row for the cats;
-* ``closed_form`` (``event_density_cat_closed``) -- every beam, and what
-  ``auto`` means:
-  the momentum integral is also done analytically, one Gaussian axis at a
-  time, via a Schwinger parameterization, leaving a single exponentially
-  damped 1-D integral over the Schwinger parameter x in [0, inf).  The map
-  u = s8 x / (1 + s8 x), with s8 = 1/(8 s_a^2) of the narrower axis a,
-  takes it onto [0, 1):
+  ``event_density_gaussian``) -- the oracle's momentum cubature
+  (``states._momentum_rows``), with A_k exact: the Gaussian convolution of
+  the target, :func:`_position_coefficients`;
+* ``closed_form`` (``event_density_cat_closed``, what ``auto`` means) --
+  the same exact A_k, and each B_k analytic, one Gaussian axis at a time,
+  via a Schwinger parameterization, down to an exponentially damped 1-D
+  integral over the Schwinger parameter x in [0, inf).  The map u = s8 x
+  / (1 + s8 x), with s8 = 1/(8 s_a^2) of the narrower axis a, takes it
+  onto [0, 1), where B_0 integrates the weight
 
-      int_0^1 du e^{-x g(u)} (x + x^2 + x^3/6) / (s8 (1 - u) sqrt(w))
-          * [ displaced-packet weight
-              +/- cos(2 r0.Qperp u) * exp(-r0^2 (1 - u) / (2 s^2)) ]
+      e^{-x g(u)} (x + x^2 + x^3/6) / (s8 (1 - u) sqrt(w))
 
-  with x = u / (s8 (1 - u)), w = 1 - (1 - rho) u for rho = s_a^2 / s_b^2
-  <= 1, and g(u) = 1 + (Qz^2 + (Q_a^2 + Q_b^2 / w) (1 - u)) / 4 >= 1 for
-  all kinematics.  Round beams have rho = 1, Q_a = |Qperp| and Q_b = 0;
-  the anisotropic beam takes the lab-frame components of Qperp.  Only the
-  cats have the fringe term.  Its phase is linear in u, and the integrand
-  vanishes with all its derivatives as u -> 1, so nothing is truncated.
+  and a cat's B_1 the weight times cos(2 r0.Qperp u) exp(-r0^2 (1 - u) /
+  (2 s^2)), with x = u / (s8 (1 - u)), w = 1 - (1 - rho) u for rho =
+  s_a^2 / s_b^2 <= 1, and g(u) = 1 + (Qz^2 + (Q_a^2 + Q_b^2 / w) (1 - u))
+  / 4 >= 1 for all kinematics.  Round beams have rho = 1, Q_a = |Qperp|
+  and Q_b = 0; the anisotropic beam takes the lab-frame components of
+  Qperp.  The fringe's phase is linear in u, and the integrand vanishes
+  with all its derivatives as u -> 1, so nothing is truncated.
+
+So the closed form against quad2d checks the B side (Schwinger against
+cubature), and quad2d against the oracle the A side (the analytic
+``_target_weights`` against a position cubature).
 
 ``event_density_grid`` assembles every method's event density on a theta
 x phi grid at one (p_i, p_f): it forms each cell's momentum transfer once
@@ -69,7 +68,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -82,7 +81,6 @@ from .quadrature import (
     Interval,
     QuadratureSpec,
     integrate_1d,
-    integrate_nd,
     oscillation_panels,
 )
 from .states import (
@@ -91,9 +89,10 @@ from .states import (
     INCOHERENT_PAIR,
     ODD_CAT,
     BeamState,
+    _assemble,
+    _momentum_rows,
     _product_integral,
     phase_space_box,
-    phase_space_panels,
 )
 from .targets import (Kinematics, TargetProfile, hydrogen_amplitude, target_density,
                       transfer_components)
@@ -175,77 +174,38 @@ def _target_weights(state: BeamState, target: TargetProfile) -> tuple[float, flo
             gauss(b0x, b0y))
 
 
-def _bracket(cfg: ScatteringConfig, wide_pref: float, c: float, d: float,
-             t_one, e_one, t_sum, e_sum) -> tuple[np.ndarray, np.ndarray]:
-    """(value, err_est) of pref (bw t_one + sign off t_cos) / (1 + sign
-    overlap), entry by entry over the weight integrals t_one and the fringe
-    rows t_sum = t_one + t_cos: arrays for arrays, scalars for scalars.
-
-    A fringe row integrates weight * (1 + fringe), not the bare fringe: its
-    tolerance then scales with the weight, the size of the event density,
-    and a fringe that strong separation or fast oscillation makes negligible
-    cannot stall convergence.  pref is ``wide_pref`` in the wide limit
-    (bw = off = 1), else n_e c / (d sqrt(prod_j Sigma_j^2)).
-    """
+def _position_coefficients(cfg: ScatteringConfig) -> list[float]:
+    """The exact A_k = n_e int n P_k d2b on the Gaussian target: n_e sx sy
+    [bw, sign off] / (sqrt(prod_j Sigma_j^2) (1 + sign overlap)) from
+    :func:`_target_weights`, or 2 pi sx sy [1, sign] / (1 + sign overlap) in
+    the wide limit (n = 1, which gives d sigma / d Omega); only cats have A_1."""
     state, target = cfg.state, cfg.target
+    sx, sy = state.widths
     sign = state.parity
     if target.wide_limit:
-        bw, off, pref = 1.0, 1.0, wide_pref
+        pref, bw, off = 2.0 * math.pi * sx * sy, 1.0, 1.0
     else:
         ssq_prod, bw, off = _target_weights(state, target)
-        pref = cfg.n_e * c / (d * math.sqrt(ssq_prod))
+        pref = cfg.n_e * sx * sy / math.sqrt(ssq_prod)
     norm = 1.0 + sign * state.packet_overlap
-    c_one = bw - sign * off
-    value = pref * (c_one * t_one + sign * off * t_sum) / norm
-    err = pref * (abs(c_one) * e_one + abs(sign * off) * e_sum) / norm
-    return value, err
+    return [pref * bw / norm, pref * sign * off / norm][:1 + abs(sign)]
 
 
-# ---------------------------------------------------------------------------
-# 2-D momentum quadrature (Gaussian-convolved target)
-# ---------------------------------------------------------------------------
+def _amplitude_squared(qz: float, qx0: float, qy0: float):
+    """f(|Q - p|)^2 <= 1 at Q = (qz, qx0, qy0), as a function of (p_x, p_y)."""
+    def f2(qx, qy):
+        amp = hydrogen_amplitude(np.sqrt((qx0 - qx) ** 2 + (qy0 - qy) ** 2 + qz * qz))
+        return amp * amp
+    return f2
 
 
 def _quadrature2d(cfg: ScatteringConfig, qz: float, qx0: float, qy0: float) -> tuple[float, float]:
-    """(value, err_est) at Q = (qz, qx0, qy0) for every beam by 2-D momentum
-    quadrature in the lab frame: :func:`_bracket` with the momentum integrals
-
-        t_one = int d2q f(|Q - q|)^2 exp(-2 (sigma_x^2 q_x^2 + sigma_y^2 q_y^2)),
-        t_sum = the same integrand times 1 + cos(2 r0 . q),
-
-    over +/-4 inverse widths, split as the 4-D route splits its momentum
-    axes (:func:`~catscatter.states.phase_space_panels`).  The target
-    integral is analytic (Gaussian convolution, per axis with
-    ``Sigma_j^2 = sigma_t^2 + sigma_j^2``); the beam enters only through
-    its widths, the displaced-packet weight and, for the cats, the fringe.
-    A cat integrates both rows as one integral, the beams without a fringe
-    (parity 0) the weight row alone.  A round beam's exact result carries
-    no azimuthal dependence, which the quadrature reproduces only within
-    its ``err_est``.  The reported errors add the weight's mass outside the
-    box, once to t_one and twice to t_sum (f <= 1, 1 + cos <= 2).
-    """
-    state = cfg.state
-    sx, sy = state.widths
-    wx, wy, qz2 = -2.0 * sx ** 2, -2.0 * sy ** 2, qz * qz
-    cx, cy = 2.0 * state.r0_vec
-    box = phase_space_box(state.widths, state.r0_vec, 4.0, 4.0)
-
-    def rows(qx, qy):
-        q = np.sqrt((qx0 - qx) ** 2 + (qy0 - qy) ** 2 + qz2)
-        amp = hydrogen_amplitude(q)
-        w = amp * amp * np.exp(wx * qx * qx + wy * qy * qy)
-        if not state.parity:
-            return w[None]
-        return np.stack([w, w * (1.0 + np.cos(cx * qx + cy * qy))])
-
-    res = integrate_nd(rows, box[2:], cfg.quad or METHOD_SPECS[QUADRATURE_2D],
-                       initial_splits=phase_space_panels(state, box)[2:])
-    # 1 - erf(4 sqrt 2)^2 by erfc, which keeps its digits.
-    tail = (math.pi / (2.0 * sx * sy) * math.erfc(4.0 * math.sqrt(2.0))
-            * (1.0 + math.erf(4.0 * math.sqrt(2.0))))
-    t, e = res.value, res.err_est
-    return _bracket(cfg, 2.0 * sx * sy / math.pi, sx * sy, math.pi ** 2,
-                    t[0], e[0] + tail, t[-1], e[-1] + 2.0 * tail)
+    """(value, err_est) at Q = (qz, qx0, qy0): the oracle's lab-frame momentum
+    rows with w_p = f^2 against the exact :func:`_position_coefficients`.  A
+    round beam's azimuthal symmetry then holds only within ``err_est``."""
+    b = _momentum_rows(cfg.state, cfg.quad or METHOD_SPECS[QUADRATURE_2D],
+                       _amplitude_squared(qz, qx0, qy0))
+    return _assemble(_position_coefficients(cfg), b.value, b.err_est)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +267,10 @@ def _closed_form(cfg: ScatteringConfig, q_w: np.ndarray, row_of: np.ndarray,
     edges = np.concatenate([[0.0], edges[1] * 2.0 ** -np.arange(halvings, 0, -1), edges[1:]])
     res = integrate_1d(rows, Interval(0.0, 1.0), cfg.quad or METHOD_SPECS[CLOSED_FORM],
                        initial_panels=edges)
-    # A beam without fringe rows passes its weights twice: _bracket scales
-    # the fringe term by its parity, 0.
-    fr = slice(n_w, None) if n_f else row_of
-    return _bracket(cfg, beta, beta, 2.0 * math.pi,
-                    res.value[row_of], res.err_est[row_of], res.value[fr], res.err_est[fr])
+    # Each cell's weight row, then a cat's fringe row, as momentum rows.
+    a, to_b = _position_coefficients(cfg), beta / (2.0 * math.pi * sa * sb)
+    cols = [row_of, slice(n_w, None)][:len(a)]
+    return _assemble(a, [to_b * res.value[c] for c in cols], [to_b * res.err_est[c] for c in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +292,7 @@ def _general4d(cfg: ScatteringConfig, qz: float, qx0: float, qy0: float) -> tupl
     box, which weighs the position tail.
     """
     state, target = cfg.state, cfg.target
-    spec = cfg.quad or METHOD_SPECS[GENERAL_4D]
-
-    def f2(qx, qy):
-        amp = hydrogen_amplitude(np.sqrt((qx0 - qx) ** 2 + (qy0 - qy) ** 2 + qz * qz))
-        return amp * amp
-
+    spec, f2 = cfg.quad or METHOD_SPECS[GENERAL_4D], _amplitude_squared(qz, qx0, qy0)
     if target.wide_limit:
         n_e, res = 1, _product_integral(state, spec, lambda x, y: 1.0, f2)
     else:
@@ -382,6 +336,12 @@ def event_density_grid(cfg: ScatteringConfig, kin_base: Kinematics, thetas: Sequ
     row needs.  A cell's value thus depends on its grid within its err_est,
     and is deterministic for a given grid.
     """
+    return EventDensity(*_grid_fields(cfg, kin_base, thetas, phis, method))
+
+
+def _grid_fields(cfg: ScatteringConfig, kin_base: Kinematics, thetas: Sequence[float],
+                 phis: Sequence[float], method: str) -> tuple:
+    """The :class:`EventDensity` fields of :func:`event_density_grid`, in order."""
     if method not in METHOD_SPECS:
         raise ValueError(f"unknown method {method!r}")
     th, ph = np.asarray(thetas, dtype=float), np.asarray(phis, dtype=float)
@@ -390,7 +350,7 @@ def event_density_grid(cfg: ScatteringConfig, kin_base: Kinematics, thetas: Sequ
         raise ValueError("thetas must lie in [0, pi] and phis must be finite, each a 1-D sequence")
     if not kin_base.is_elastic:  # once per call, not per cell
         warnings.warn(f"inelastic kinematics: p_f={kin_base.p_f} differs from "
-                      f"p_i={kin_base.p_i}", stacklevel=2)
+                      f"p_i={kin_base.p_i}", stacklevel=3)
     method, state, target = CLOSED_FORM if method == "auto" else method, cfg.state, cfg.target
     p_i, p_f, n_ph, n = kin_base.p_i, kin_base.p_f, len(ph), len(th) * len(ph)
     # (Qz, Q_x, Q_y) per cell; the closed form of a round beam takes one
@@ -413,8 +373,8 @@ def event_density_grid(cfg: ScatteringConfig, kin_base: Kinematics, thetas: Sequ
                                                 ph[cells % n_ph])
     sigma_sq = (None if target.wide_limit or state.variant == ANISOTROPIC
                 else target.sigma_t ** 2 + state.sigma_perp ** 2)
-    return EventDensity(value.reshape(len(th), n_ph), method, err.reshape(len(th), n_ph),
-                        sigma_sq, target.wide_limit, cfg.n_e)
+    return (value.reshape(len(th), n_ph), method, err.reshape(len(th), n_ph),
+            sigma_sq, target.wide_limit, cfg.n_e)
 
 
 def event_density(cfg: ScatteringConfig, kin: Kinematics, method: str = "auto") -> EventDensity:
@@ -422,8 +382,8 @@ def event_density(cfg: ScatteringConfig, kin: Kinematics, method: str = "auto") 
     amplitude on the Gaussian target: the 1 x 1 case of
     :func:`event_density_grid`.  ``auto`` is the closed form, which every
     beam has, checked against the 2-D and 4-D routes."""
-    ed = event_density_grid(cfg, kin, [kin.theta], [kin.phi], method)
-    return replace(ed, value=ed.value.item(), err_est=ed.err_est.item())
+    value, method, err, *rest = _grid_fields(cfg, kin, [kin.theta], [kin.phi], method)
+    return EventDensity(value.item(), method, err.item(), *rest)
 
 
 def event_density_cat_closed(cfg: ScatteringConfig, kin: Kinematics) -> EventDensity:

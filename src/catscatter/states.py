@@ -34,7 +34,9 @@ forms W from their outer products in blocks of 2^16 grid points, so a
 negativity scan never holds the whole grid.  Every phase-space integral
 of W, the normalization and the 4-D scattering oracle alike, is the sum
 of the products of each factor's 2-D integral over its own box: one
-product path, with one error bound and one pair of truncation tails.
+product path, with one pair of truncation tails.  Its momentum half,
+also the 2-D scattering route's, and the one assembly of the sum and its
+error bound, which every scattering route calls, are package-private.
 
 Every phase-space truncation box (negativity scans, normalization, the
 4-D scattering oracle, the CLI export) comes from :func:`phase_space_box`,
@@ -490,51 +492,82 @@ def negativity_scan(
     )
 
 
+def _assemble(a, rows, e_rows, e_a=None):
+    """(value, err_est) of sum_k A_k B_k, entry by entry over the rows, from
+    the position coefficients ``a`` with errors ``e_a`` (None when exact)
+    and the cumulative momentum rows r_j = B_0 + ... + B_j with errors
+    ``e_rows``: sum_j c_j r_j with c_j = A_j - A_{j+1}, and sum_j |c_j| e_j
+    + sum_k |B_k| E_Ak + E_Ak E_Bk with E_Bk = e_0 + ... + e_k.  A row holds
+    weight * (M_0 + M_1), not the bare fringe M_1, so its tolerance scales
+    with the whole and a negligible fringe cannot stall convergence.
+    """
+    c = [a_j - a_next for a_j, a_next in zip(a, [*a[1:], 0.0])]
+    value, err = c[0] * rows[0], abs(c[0]) * e_rows[0]
+    for c_j, r_j, e_j in zip(c[1:], rows[1:], e_rows[1:]):
+        value, err = value + c_j * r_j, err + abs(c_j) * e_j
+    if e_a is not None:
+        b, e_b = np.diff(rows, axis=0, prepend=0.0), np.cumsum(e_rows, axis=0)
+        err = (err + sum(abs(b_k) * ea_k for b_k, ea_k in zip(b, e_a))
+               + sum(ea_k * eb_k for ea_k, eb_k in zip(e_a, e_b)))
+    return value, err
+
+
+def _momentum_rows(state: BeamState, spec: QuadratureSpec, w_p) -> QuadratureResult:
+    """The rows r_j = int w_p (M_0 + ... + M_j) d2p of the :func:`wigner_terms`
+    factors, 0 <= w_p <= 1, by one batched 2-D cubature over four inverse
+    widths on the :func:`phase_space_panels` splits.  Each error adds M_0's
+    mass beyond the box (eight deviations), twice on a cat's fringe row."""
+    box = phase_space_box(state.widths, state.r0_vec, 6.0, 4.0)
+    sx, sy = state.widths
+
+    def momentum(px, py):
+        w = w_p(px, py)
+        (_, m0), *fringe = wigner_terms(state, 0.0, 0.0, px, py)
+        out = np.empty((1 + len(fringe),) + m0.shape)
+        np.multiply(w, m0, out=out[0])
+        for row, (_, m1) in zip(out[1:], fringe):  # w (M_0 + M_1)
+            np.multiply(np.add(m0, m1, out=row), w, out=row)
+        return out
+
+    b = integrate_nd(momentum, box[2:], spec, initial_splits=phase_space_panels(state, box)[2:])
+    # 1 - erf(4 sqrt 2)^2 by erfc, which keeps its digits.
+    tail = math.erfc(4.0 * math.sqrt(2.0)) * (1.0 + math.erf(4.0 * math.sqrt(2.0))) / (
+        2.0 * math.pi * sx * sy)
+    return replace(b, err_est=b.err_est + tail * np.arange(1, len(b.value) + 1))
+
+
 def _product_integral(state: BeamState, spec: QuadratureSpec, w_b, w_p,
                       b_box: Sequence[Interval] | None = None, n_max: float = 1.0,
                       out_frac: float = 1.0) -> QuadratureResult:
     """int d2b d2p w_b(b) W(b, p) w_p(p) over the :func:`phase_space_box`
     with six widths and four inverse widths, its position part replaced by
-    ``b_box`` when given.  With W = sum_k P_k(b) M_k(p) from
-    :func:`wigner_terms` it is exactly sum_k A_k B_k (Fubini), A_k = int
-    w_b P_k d2b and B_k = int w_p M_k d2p: one batched 2-D cubature per
-    side on the :func:`phase_space_panels` splits, with error sum_k |A_k|
-    E_Bk + |B_k| E_Ak + E_Ak E_Bk.  A cat's momentum rows are w_p M_0 and
-    w_p (M_0 + M_1), B_1 their difference, so a negligible fringe cannot
-    stall its row.  ``neval`` and ``subdivisions`` sum both cubatures.
-
-    Each E adds a truncation tail to the engine's err_est.  Position:
-    ``out_frac * n_max`` times the mass of |P_k| (2 pi sx sy / (1 +/-
-    overlap) each for a cat) beyond six widths, plus e^-32 of it times
-    ``n_max`` for a ``b_box`` clipped at eight deviations of the weight;
-    so 0 <= w_b <= n_max, and w_b <= out_frac * n_max outside the box.
-    Momentum: 0 <= w_p <= 1 times the mass of M_0 beyond four inverse widths
-    (eight deviations), twice on the fringe row; B_1 bears both rows'.
+    ``b_box`` when given: with W = sum_k P_k(b) M_k(p) from
+    :func:`wigner_terms`, exactly sum_k A_k B_k (Fubini), A_k = int w_b P_k
+    d2b by one batched 2-D cubature on the position
+    :func:`phase_space_panels` splits, the B_k by :func:`_momentum_rows`,
+    both joined by :func:`_assemble`.  ``neval`` and ``subdivisions`` sum
+    both cubatures.  Each E_A adds ``out_frac * n_max`` times the mass of
+    |P_k| (2 pi sx sy / (1 +/- overlap) each for a cat) beyond six widths,
+    plus e^-32 of it times ``n_max`` for a ``b_box`` clipped at eight
+    deviations of the weight; so 0 <= w_b <= n_max, and w_b <= out_frac *
+    n_max outside the box.
     """
     box = phase_space_box(state.widths, state.r0_vec, 6.0, 4.0)
-    splits = phase_space_panels(state, box)
     sx, sy = state.widths
 
     def position(x, y):
         w = w_b(x, y)
         return np.stack([w * p for p, _ in wigner_terms(state, x, y, 0.0, 0.0)])
 
-    def momentum(px, py):
-        return w_p(px, py) * np.cumsum([m for _, m in wigner_terms(state, 0.0, 0.0, px, py)], axis=0)
-
-    def outside(n_sd):  # mass fraction of a 2-D Gaussian outside +/- n_sd deviations, 1 - erf^2
-        return math.erfc(n_sd / math.sqrt(2.0)) * (1.0 + math.erf(n_sd / math.sqrt(2.0)))
-
-    a = integrate_nd(position, b_box or box[:2], spec, initial_splits=splits[:2])
-    b = integrate_nd(momentum, box[2:], spec, initial_splits=splits[2:])
+    a = integrate_nd(position, b_box or box[:2], spec,
+                     initial_splits=phase_space_panels(state, box)[:2])
+    b = _momentum_rows(state, spec, w_p)
     mass_p = 2.0 * math.pi * sx * sy / (1.0 + state.parity * state.packet_overlap)
-    e_a = a.err_est + n_max * mass_p * (out_frac * outside(6.0) + math.exp(-32.0))
-    e_b = np.cumsum(b.err_est + np.arange(1, len(b.value) + 1) * outside(8.0)
-                    / (2.0 * math.pi * sx * sy))
-    b_k = np.diff(b.value, prepend=0.0)
-    return QuadratureResult(float(a.value @ b_k),
-                            float(np.abs(a.value) @ e_b + np.abs(b_k) @ e_a + e_a @ e_b),
-                            a.neval + b.neval, a.subdivisions + b.subdivisions)
+    outside = math.erfc(3.0 * math.sqrt(2.0)) * (1.0 + math.erf(3.0 * math.sqrt(2.0)))
+    e_a = a.err_est + n_max * mass_p * (out_frac * outside + math.exp(-32.0))
+    value, err = _assemble(a.value, b.value, b.err_est, e_a)
+    return QuadratureResult(float(value), float(err), a.neval + b.neval,
+                            a.subdivisions + b.subdivisions)
 
 
 def wigner_normalization(state: BeamState) -> QuadratureResult:
@@ -544,8 +577,8 @@ def wigner_normalization(state: BeamState) -> QuadratureResult:
 
     The bound holds both cubatures' errors and the mass the box leaves out.
     An odd cat's bound grows as 1 / (1 - overlap) as r0 falls below
-    sigma_perp, where its two products nearly cancel, and passes 1e-4 near
-    r0 = 0.3 sigma_perp.
+    sigma_perp, where its two products nearly cancel: 8.2e-6 at r0 =
+    sigma_perp, 1e-4 at r0 = 0.389 sigma_perp and 3.6e-4 at 0.2 sigma_perp.
     """
     one = lambda u, v: 1.0
     return _product_integral(state, DEFAULT_SPEC_4D, one, one)

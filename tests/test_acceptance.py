@@ -302,10 +302,10 @@ def test_criterion_11_limits():
                             f"sigma=100a phi-var {var_par:.2e} < 1e-6")
 
 
-def test_criterion_12_cli_determinism():
+def test_criterion_12_cli_determinism(child_env):
     cmd = [sys.executable, "-m", "catscatter.cli", "validate"]
-    r1 = subprocess.run(cmd, capture_output=True, timeout=600)
-    r2 = subprocess.run(cmd, capture_output=True, timeout=600)
+    r1 = subprocess.run(cmd, capture_output=True, timeout=600, env=child_env)
+    r2 = subprocess.run(cmd, capture_output=True, timeout=600, env=child_env)
     ok = (r1.returncode == 0 and r2.returncode == 0
           and r1.stdout == r2.stdout and r1.stderr == r2.stderr)
     assert report("12", ok, f"validate exit {r1.returncode}, outputs bit-identical: "

@@ -231,6 +231,11 @@ def test_closed_form_scan_builds_no_per_azimuth_objects(construction_counts, sta
         ed = event_density_grid(cfg, spec.kin_base, [spec.kin_base.theta], [0.0, 1.0], method)
         assert ed.value.shape == (1, 2)
         assert construction_counts == {"integrate_1d": 0, "Kinematics": 0, "EventDensity": 1}
+    # A one-point event density is one result too, not a grid result and its copy.
+    for method in ("closed_form", "quadrature2d", "general4d"):
+        construction_counts["EventDensity"] = 0
+        assert isinstance(event_density(cfg, spec.kin_base, method).value, float)
+        assert construction_counts["EventDensity"] == 1
 
 
 @pytest.mark.parametrize("state", [FIVE_BEAMS[0], FIVE_BEAMS[2]], ids=lambda s: s.variant)

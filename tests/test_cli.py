@@ -251,10 +251,10 @@ def test_ev_flag_sets_momentum():
     assert payload["config"]["p_i"] == pytest.approx(10.0, rel=1e-12)
 
 
-def test_validate_passes_and_is_deterministic():
+def test_validate_passes_and_is_deterministic(child_env):
     cmd = [sys.executable, "-m", "catscatter.cli", "validate"]
-    r1 = subprocess.run(cmd, capture_output=True, timeout=600)
-    r2 = subprocess.run(cmd, capture_output=True, timeout=600)
+    r1 = subprocess.run(cmd, capture_output=True, timeout=600, env=child_env)
+    r2 = subprocess.run(cmd, capture_output=True, timeout=600, env=child_env)
     assert r1.returncode == 0
     assert r1.stdout == r2.stdout
     assert b"oracle checks passed" in r1.stdout

@@ -9,6 +9,7 @@ from catscatter.quadrature import Interval, QuadratureSpec, integrate_nd
 from catscatter.states import (
     BeamState,
     PhasePoint,
+    _assemble,
     kinetic_energy_keV,
     momentum_from_keV,
     momentum_wavefunction,
@@ -217,6 +218,47 @@ def test_oblique_separated_cat_normalization_panels():
     assert phase_space_panels(state, box) == [9, 7, 26, 9]
     r = wigner_normalization(state)
     assert abs(r.value - 1.0) <= r.err_est
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_assembly_with_exact_coefficients_is_the_bracket(sign):
+    # Exact A_k = pref [bw, sign off] / norm against the rows t_one and
+    # t_sum = t_one + t_fringe: value pref (bw t_one + sign off t_fringe) / norm
+    # and bound pref (|bw - sign off| e_one + off e_sum) / norm.
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        pref, bw, off, overlap = rng.uniform(0.1, 10.0), *rng.uniform(0.0, 1.0, 3)
+        norm = 1.0 + sign * overlap
+        t_one, t_fringe = rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0)
+        e_one, e_sum = rng.uniform(0.0, 1e-6, 2)
+        value, err = _assemble([pref * bw / norm, pref * sign * off / norm],
+                               [t_one, t_one + t_fringe], [e_one, e_sum])
+        scale = pref * (bw + off) * (abs(t_one) + abs(t_fringe)) / norm
+        assert abs(value - pref * (bw * t_one + sign * off * t_fringe) / norm) <= 1e-14 * scale
+        assert err == pytest.approx(pref * (abs(bw - sign * off) * e_one + off * e_sum) / norm,
+                                    rel=1e-13)
+
+
+def test_assembly_bound_is_never_above_the_coefficientwise_bound():
+    # Numeric A_k with errors E_A: the bound sum_j |A_j - A_{j+1}| e_j + ...
+    # never exceeds sum_k |A_k| E_Bk + |B_k| E_Ak + E_Ak E_Bk, and is below
+    # it whenever A_0 and A_1 share a sign.  Entry by entry over row arrays.
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        a = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-3.0, 3.0, 2)
+        e_a = 10.0 ** rng.uniform(-12.0, -4.0, 2) * np.abs(a)
+        rows = rng.uniform(-2.0, 2.0, (2, 5))
+        e_rows = 10.0 ** rng.uniform(-12.0, -4.0, (2, 5))
+        value, err = _assemble(a, rows, e_rows, e_a)
+        b, e_b = np.array([rows[0], rows[1] - rows[0]]), np.cumsum(e_rows, axis=0)
+        coefficientwise = sum(abs(a_k) * eb_k + abs(b_k) * ea_k + ea_k * eb_k
+                              for a_k, b_k, ea_k, eb_k in zip(a, b, e_a, e_b))
+        assert value.shape == err.shape == (5,)
+        assert np.allclose(value, a[0] * b[0] + a[1] * b[1], rtol=1e-12,
+                           atol=1e-12 * np.abs(a).sum())
+        assert np.all(err <= coefficientwise * (1.0 + 1e-15))
+        if a[0] * a[1] > 0:
+            assert np.all(err < coefficientwise)
 
 
 @pytest.mark.parametrize("state,p", [
